@@ -126,6 +126,11 @@ def _parse_cell(text: str) -> tuple[int, int]:
 
 
 def _cmd_solve(args) -> int:
+    if args.enumerate is not None:
+        if args.enumerate < 0:
+            raise _CliInputError(f"--enumerate needs N >= 0, got {args.enumerate}")
+        if args.forbid:
+            raise _CliInputError("--forbid cannot be combined with --enumerate")
     try:
         with open(args.env, "r", encoding="utf-8") as fh:
             env = Environment.from_text(fh.read())

@@ -5,6 +5,10 @@ creation order. Links come in three flavors: composition (parent -> child
 with a placement role), excitatory association (symmetric co-occurrence
 counter) and mutex (symmetric inhibitory pair).
 
+Mutex links live in one symmetric adjacency map, node -> set of partners,
+so `mutex_partners` costs O(degree); `mutex` is a read-only view of the
+same links as sorted pairs.
+
 Roles are (dx, dy) integer offsets of the child's anchor inside the
 parent's frame; ordinal positions (state sequences) are encoded as (i, 0).
 """
@@ -71,7 +75,7 @@ class ConceptGraph:
         self._parents: dict[int, set[int]] = {}
         self._composite_index: dict[tuple, int] = {}
         self.excitatory: dict[tuple[int, int], int] = {}
-        self.mutex: set[tuple[int, int]] = set()
+        self._mutex: dict[int, set[int]] = {}
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -126,8 +130,10 @@ class ConceptGraph:
             return existing
         scale = sum(self.nodes[c].scale for c, _ in children)
         node_id = self._new_node(kind, label, scale)
-        for child, role in children:
-            self._link(node_id, child, role)
+        # a fresh node has no parents, so its links cannot close a cycle
+        self._children[node_id] = children
+        for child, _role in children:
+            self._parents[child].add(node_id)
         self._composite_index[key] = node_id
         return node_id
 
@@ -146,16 +152,16 @@ class ConceptGraph:
             raise SelfMutexError(f"mutex requires two distinct nodes, got {a}")
         self.node(a)
         self.node(b)
-        self.mutex.add(_pair(a, b))
+        self._mutex.setdefault(a, set()).add(b)
+        self._mutex.setdefault(b, set()).add(a)
+
+    @property
+    def mutex(self) -> set[tuple[int, int]]:
+        """Every mutex link as a sorted (low, high) pair."""
+        return {(a, b) for a, partners in self._mutex.items() for b in partners if a < b}
 
     def mutex_partners(self, n: int) -> set[int]:
-        out = set()
-        for a, b in self.mutex:
-            if a == n:
-                out.add(b)
-            elif b == n:
-                out.add(a)
-        return out
+        return set(self._mutex.get(n, ()))
 
     def record_association(self, co_active) -> None:
         ids = sorted(set(co_active))
@@ -286,7 +292,7 @@ class ConceptGraph:
                         raise ParseError(line_no, "mutex link to unknown node")
                     if ia == ib:
                         raise ParseError(line_no, "mutex link must join distinct nodes")
-                    g.mutex.add(_pair(ia, ib))
+                    g.add_mutex(ia, ib)
                 else:
                     raise ParseError(line_no, f"unknown record tag {tag!r}")
             except ParseError:

@@ -13,10 +13,22 @@ set under:
 plus the mutex-activation closure: partners of Active nodes are inhibited.
 Trying to inhibit an Active node raises ConflictError, which is the signal
 to backtrack and look for an alternative set of assumptions.
+
+`propagate` runs one FIFO worklist. It is seeded with every inhibited
+node, every Active node and, given a view, every view state, so each call
+computes the whole closure, whatever `inhibit`, `set_active` or graph
+growth happened since the last call. A popped Active node inhibits its
+mutex partners; a popped inhibited node is expanded once: it inhibits
+and enqueues its parents (A), each child whose parents are now all
+expanded (B) and each view predecessor whose successors are now all
+expanded (C). B and C keep a per-node count of the parents or successors
+not yet expanded, so a call costs the seeds plus what they reach and
+their links, not repeated sweeps over the whole graph.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 from .graph import ConceptGraph
@@ -116,15 +128,12 @@ class SessionStack:
     def clear_all_active(self) -> None:
         self._active.clear()
 
-    def _derive(self, n: int, derived: set[int]) -> bool:
-        if n in self._inhibited:
-            return False
+    def _derive(self, n: int, derived: set[int]) -> None:
         if n in self._active:
             raise ConflictError(f"propagation would inhibit Active node {n}")
         self._inhibited[n] = self._layers[-1].depth
         self._layers[-1].derived.add(n)
         derived.add(n)
-        return True
 
     def propagate(
         self,
@@ -137,39 +146,65 @@ class SessionStack:
         result (the rules are monotone, hence confluent).
         """
         g = self.graph
-        order = worklist_order if worklist_order is not None else g.node_ids()
+        inhibited = self._inhibited
+        active = self._active
+        seeds = set(inhibited) | active
+        rule_c_states: set[int] = set()
+        preds: dict[int, list[int]] = {}
+        if state_view is not None:
+            seeds |= state_view.states
+            rule_c_states = state_view.states - state_view.targets
+            for s in rule_c_states:
+                for t in state_view.transitions.get(s, []):
+                    preds.setdefault(t, []).append(s)
+        if worklist_order is None:
+            queue = deque(sorted(seeds))
+        else:
+            rank = {n: i for i, n in enumerate(worklist_order)}
+            queue = deque(sorted(seeds, key=lambda n: (rank.get(n, len(rank)), n)))
+
         derived: set[int] = set()
-        changed = True
-        while changed:
-            changed = False
-            for n in order:
-                if n in self._active:
-                    for partner in g.mutex_partners(n):
-                        if partner in self._active:
-                            raise ConflictError(
-                                f"mutex partners {n} and {partner} are both Active"
-                            )
-                        if partner not in self._inhibited:
-                            self._derive(partner, derived)
-                            changed = True
-            for n in order:
-                if n in self._inhibited:
-                    for parent in g.parents_of(n):
-                        if parent not in self._inhibited:
-                            self._derive(parent, derived)
-                            changed = True
-            for n in order:
-                if n not in self._inhibited:
-                    parents = g.parents_of(n)
-                    if parents and all(p in self._inhibited for p in parents):
-                        self._derive(n, derived)
-                        changed = True
-            if state_view is not None:
-                for s in sorted(state_view.states):
-                    if s in state_view.targets or s in self._inhibited:
-                        continue
-                    succs = state_view.transitions.get(s, [])
-                    if all(t in self._inhibited for t in succs):
-                        self._derive(s, derived)
-                        changed = True
+        expanded: set[int] = set()
+        # per node, how many of its parents (B) or successors (C) are not
+        # yet expanded; a node is derived when its count reaches 0
+        parents_left: dict[int, int] = {}
+        succs_left: dict[int, int] = {}
+
+        def derive(n: int) -> None:
+            self._derive(n, derived)
+            queue.append(n)
+
+        while queue:
+            n = queue.popleft()
+            if n in active:
+                for partner in g._mutex.get(n, ()):
+                    if partner in active:
+                        raise ConflictError(
+                            f"mutex partners {n} and {partner} are both Active"
+                        )
+                    if partner not in inhibited:
+                        derive(partner)
+            if n not in inhibited:
+                # only a seeded view state can still fall to rule C here
+                if n not in rule_c_states or not all(
+                    t in inhibited for t in state_view.transitions.get(n, [])
+                ):
+                    continue
+                self._derive(n, derived)
+            elif n in expanded:
+                continue
+            expanded.add(n)
+            for parent in g._parents.get(n, ()):
+                if parent not in inhibited:
+                    derive(parent)
+            for child in {c for c, _role in g._children.get(n, ())}:
+                left = parents_left.get(child, len(g._parents[child])) - 1
+                parents_left[child] = left
+                if not left and child not in inhibited:
+                    derive(child)
+            for s in preds.get(n, ()):
+                left = succs_left.get(s, len(state_view.transitions[s])) - 1
+                succs_left[s] = left
+                if not left and s not in inhibited:
+                    derive(s)
         return derived

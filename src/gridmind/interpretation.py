@@ -28,15 +28,13 @@ class Explanation:
 
 
 def _candidate_composites(graph: ConceptGraph, features: set[int]) -> list[int]:
-    out = []
-    for node_id in graph.node_ids():
-        node = graph.nodes[node_id]
-        if node.kind is not NodeKind.COMPOSITE:
-            continue
-        if any(child in features for child, _ in graph.children_of(node_id)):
-            out.append(node_id)
-    out.sort(key=lambda n: (-graph.nodes[n].scale, n))
-    return out
+    out = {
+        p
+        for f in features
+        for p in graph._parents.get(f, ())
+        if graph.nodes[p].kind is NodeKind.COMPOSITE
+    }
+    return sorted(out, key=lambda n: (-graph.nodes[n].scale, n))
 
 
 def explain_features(
@@ -50,21 +48,19 @@ def explain_features(
     if not features:
         return [Explanation(frozenset(), frozenset(), frozenset())]
     candidates = _candidate_composites(graph, features)
-    explainable = {
-        f
-        for f in features
-        if any(f in {c for c, _ in graph.children_of(n)} for n in candidates)
+    feats_of = {
+        c: {ch for ch, _ in graph._children[c]} & features for c in candidates
     }
-    unexplainable = features - explainable
+    unexplainable = features - set().union(*feats_of.values())
     entry_depth = sessions.depth
     found: dict[frozenset[int], Explanation] = {}
 
-    def branch(idx: int, chosen: list[int], covered: set[int], activated: list[int]):
+    def branch(idx: int, chosen: list[int], covered: set[int]):
         extended = False
         for i in range(idx, len(candidates)):
             cand = candidates[i]
-            feats = {c for c, _ in graph.children_of(cand)} & features
-            if not feats or feats & covered:
+            feats = feats_of[cand]
+            if feats & covered:
                 continue
             if sessions.is_inhibited(cand) or any(sessions.is_inhibited(f) for f in feats):
                 continue
@@ -82,7 +78,7 @@ def explain_features(
                 sessions.release_session()
                 continue
             extended = True
-            branch(i + 1, chosen + [cand], covered | feats, activated + marked)
+            branch(i + 1, chosen + [cand], covered | feats)
             for n in marked:
                 sessions.clear_active(n)
             sessions.release_session()
@@ -113,7 +109,7 @@ def explain_features(
                 ),
             )
 
-    branch(0, [], set(), [])
+    branch(0, [], set())
     while sessions.depth > entry_depth:
         sessions.release_session()
 
@@ -144,10 +140,12 @@ def explain(
     """Explain a grid: detect its features, then cover them with composites."""
     if g.is_empty():
         return [Explanation(frozenset(), frozenset(), frozenset())]
-    detected = {n for n, _ in learner._detected_instances(g)}
-    result = explain_features(learner.graph, detected, sessions)
+    nodes = [learner._lookup_feature_node(f) for f in extract_features(g)]
+    result = explain_features(
+        learner.graph, {n for n in nodes if n is not None}, sessions
+    )
     # features with no node at all are novelty the search cannot see
-    if len(detected) < len(extract_features(g)) and not any(e.novel for e in result):
+    if None in nodes and not any(e.novel for e in result):
         result.append(
             Explanation(frozenset(), frozenset(), frozenset(), frozenset(), novel=True)
         )

@@ -188,6 +188,51 @@ def deadlock_oracle(env: Environment) -> set[State]:
     return dead
 
 
+# -- inhibition oracle -----------------------------------------------------
+
+
+def inhibition_closure_oracle(
+    parents: dict[int, set[int]],
+    mutex: set[tuple[int, int]],
+    inhibited: set[int],
+    active: set[int],
+    transitions: dict[int, list[int]] | None = None,
+    targets: set[int] = frozenset(),
+) -> set[int] | None:
+    """Close `inhibited` under rules A, B, C and the mutex closure by full
+    sweeps until nothing changes; None when the closure reaches an Active
+    node or two Active nodes are mutex partners.
+
+    A: every parent of an inhibited node is inhibited. B: a node with at
+    least one parent, all of them inhibited, is inhibited. C: a state (a
+    key of `transitions`) that is not a target and whose successors are
+    all inhibited is inhibited. Mutex: every partner of an Active node is
+    inhibited.
+    """
+    closed = set(inhibited)
+    while True:
+        new = set()
+        for n, ps in parents.items():
+            if n in closed:
+                new |= ps
+            elif ps and ps <= closed:
+                new.add(n)
+        for st, succs in (transitions or {}).items():
+            if st not in targets and set(succs) <= closed:
+                new.add(st)
+        for a, b in mutex:
+            if a in active:
+                new.add(b)
+            if b in active:
+                new.add(a)
+        if new <= closed:
+            break
+        closed |= new
+    if closed & active or any(a in active and b in active for a, b in mutex):
+        return None
+    return closed
+
+
 # -- explanation oracle ----------------------------------------------------
 
 

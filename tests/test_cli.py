@@ -125,6 +125,24 @@ def test_solve_enumerate_limit(capsys, tmp_path):
     assert out.splitlines()[-1] == "TOTAL 1"
 
 
+def test_solve_negative_enumerate_is_input_error(capsys, tmp_path):
+    env = tmp_path / "c.env"
+    env.write_text("S.\n.G\n")
+    code, out, err = run(capsys, "solve", str(env), "--enumerate", "-3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_solve_forbid_with_enumerate_is_input_error(capsys, tmp_path):
+    env = tmp_path / "c.env"
+    env.write_text("S.\n.G\n")
+    code, out, err = run(capsys, "solve", str(env), "--enumerate", "--forbid", "1,0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_solve_forbid_cell(capsys, tmp_path):
     env = tmp_path / "c.env"
     env.write_text("S.G\n")

@@ -155,11 +155,14 @@ def test_round_trip_preserves_mutex_scene():
     g = ConceptGraph()
     ids = [g.create_primitive(f"f{i}") for i in range(1, 5)]
     g.add_mutex(ids[1], ids[2])
+    g.add_mutex(ids[3], ids[1])
     g.create_composite([(ids[0], (0, 0)), (ids[1], (1, 0))])
     g.create_composite([(ids[2], (0, 0)), (ids[3], (1, 0))])
     g.record_association(ids)
     g2 = ConceptGraph.import_text(g.export_text())
     assert g2.mutex == g.mutex
+    assert g2.mutex_partners(ids[1]) == {ids[2], ids[3]}
+    assert [g2.mutex_partners(n) for n in ids] == [g.mutex_partners(n) for n in ids]
     assert g2.excitatory == g.excitatory
     assert g2.structurally_equals(g)
 

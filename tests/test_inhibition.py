@@ -11,7 +11,7 @@ from gridmind import (
     StateGraphView,
     UnderflowError,
 )
-from oracles import iterated_elimination
+from oracles import inhibition_closure_oracle, iterated_elimination
 
 
 def _chain_graph():
@@ -224,6 +224,72 @@ def test_confluence_under_worklist_permutations():
             if reference is None:
                 reference = result
             assert result == reference
+
+
+def _propagate_against_closure_oracle(g, s, view=None) -> bool:
+    """Propagate once and compare with the oracle; False on a conflict."""
+    before = s.inhibited_nodes()
+    expected = inhibition_closure_oracle(
+        {n: g.parents_of(n) for n in g.node_ids()},
+        g.mutex,
+        before,
+        s.active_nodes(),
+        view.transitions if view else None,
+        view.targets if view else set(),
+    )
+    if expected is None:
+        with pytest.raises(ConflictError):
+            s.propagate(view)
+        return False
+    assert s.propagate(view) == expected - before
+    assert s.inhibited_nodes() == expected
+    return True
+
+
+def test_propagate_matches_closure_oracle_random():
+    # nested sessions, inhibit/set_active and graph growth between calls:
+    # every call must still reach the full closure; half the graphs also
+    # carry a state view over some of their nodes, mixing rule C with A/B
+    rng = random.Random(2718)
+    for _ in range(60):
+        g = _random_concept_graph(rng)
+        view = None
+        if rng.random() < 0.5:
+            states = rng.sample(g.node_ids(), min(len(g), 30))
+            view = StateGraphView(
+                states=set(states),
+                transitions={
+                    st: [t for t in rng.sample(states, rng.randint(0, 3)) if t != st]
+                    for st in states
+                },
+                targets=set(rng.sample(states, rng.randint(0, 5))),
+            )
+        s = SessionStack(g)
+        for _ in range(rng.randint(1, 6)):
+            if s.depth and rng.random() < 0.3:
+                s.release_session()
+            s.begin_session()
+            ids = g.node_ids()
+            for n in rng.sample(ids, rng.randint(0, 3)):
+                if not s.is_active(n):
+                    s.inhibit(n)
+            for n in rng.sample(ids, rng.randint(0, 2)):
+                if not s.is_inhibited(n):
+                    s.set_active(n)
+            if rng.random() < 0.3:
+                g.add_mutex(*rng.sample(ids, 2))
+            if not _propagate_against_closure_oracle(g, s, view):
+                s.release_session()
+                s.clear_all_active()
+                continue
+            inhibited = sorted(s.inhibited_nodes())
+            if inhibited and rng.random() < 0.5:
+                # a new composite over an already-inhibited child
+                fresh = g.create_primitive(f"q{len(g)}")
+                g.create_composite(
+                    [(rng.choice(inhibited), (0, 0)), (fresh, (1, 0))]
+                )
+                assert _propagate_against_closure_oracle(g, s, view)
 
 
 def test_rule_c_matches_elimination_oracle_random():

@@ -154,6 +154,17 @@ def test_explain_grid_end_to_end():
     assert any(root in e.chosen for e in regular)
 
 
+def test_repeated_known_pattern_is_not_novel():
+    # two copies of "ab": fewer distinct feature nodes than feature
+    # instances, yet every instance has a node
+    learner = Learner()
+    learner.observe(Grid.from_text("ab\n"))
+    learner.observe(Grid.from_text("ab\nc.\n"))
+    result = explain(learner, Grid.from_text("ab...ab\n"))
+    assert result and not any(e.novel for e in result)
+    assert any(e.novel for e in explain(learner, Grid.from_text("ab...q\n")))
+
+
 def test_explain_empty_grid():
     learner = Learner()
     result = explain(learner, Grid(2, 2, {}))
