@@ -1,8 +1,8 @@
 """Solve a maze, enumerate every distinct route, then forbid a cell.
 
-Dead-end corridors are inhibited before the search starts. Each found
-solution becomes a concept node; inhibiting it forces the next run to
-discover a different route, until none remain.
+Dead-end corridors are inhibited before the search starts. Routes come
+shortest first, and each found solution becomes a concept node;
+inhibiting that concept makes the next solve discover a different route.
 """
 
 from gridmind import (

@@ -49,7 +49,6 @@ from .solver import (
     StateSpace,
     TraceRecord,
     TraceRecorder,
-    build_state_graph,
     enumerate_solutions,
     load_environment,
     prune_deadlocks,

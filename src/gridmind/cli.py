@@ -41,6 +41,8 @@ def _load_graph(path) -> ConceptGraph:
         return ConceptGraph.import_file(path)
     except FileNotFoundError:
         return ConceptGraph()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _CliInputError(f"cannot read {path}: {exc}") from exc
     except GraphError as exc:
         raise _CliInputError(f"graph file {path}: {exc}") from exc
 
@@ -49,7 +51,7 @@ def _load_pattern(path) -> Grid:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return Grid.from_text(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _CliInputError(f"cannot read {path}: {exc}") from exc
     except GridError as exc:
         raise _CliInputError(f"pattern file {path}: {exc}") from exc
@@ -135,7 +137,7 @@ def _cmd_solve(args) -> int:
         with open(args.env, "r", encoding="utf-8") as fh:
             env = Environment.from_text(fh.read())
         space = StateSpace(env)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _CliInputError(f"cannot read {args.env}: {exc}") from exc
     except InvalidEnvError as exc:
         raise _CliInputError(str(exc)) from exc
@@ -168,7 +170,7 @@ def _cmd_solve(args) -> int:
 def _cmd_graph(args) -> int:
     try:
         graph = ConceptGraph.import_file(args.source)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _CliInputError(f"cannot read {args.source}: {exc}") from exc
     except GraphError as exc:
         raise _CliInputError(str(exc)) from exc

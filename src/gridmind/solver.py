@@ -2,21 +2,24 @@
 
 The solver works over a materialized state graph. Before searching it
 inhibits deadlock states (states from which no goal state is reachable,
-plus iterated cul-de-sac cells in mazes). The search itself runs two
-frontiers of growing simple-path branches, forward from the start and
-backward from the goal, alternating one expansion round each; a solution
-is the join of a forward and a backward branch whose heads meet. Solutions
-are registered as high-level concepts so that inhibiting a solution
-concept forces the next run to discover an alternative.
+plus iterated cul-de-sac cells in mazes). The search is a breadth-first
+search with parent pointers that skips inhibited states. Yen's algorithm
+(1971) runs it again from each branching point of the paths found so far,
+which yields every loopless start-to-goal path in nondecreasing length.
+Solutions are registered as high-level concepts; a path whose solution
+concept is inhibited is skipped, so inhibiting a found solution makes the
+next run return an alternative.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+import heapq
+from collections import deque
+from dataclasses import dataclass
+from itertools import islice
+from typing import Iterator, NamedTuple, Optional
 
 from .graph import ConceptGraph, NodeKind
-from .grid import Grid
 from .inhibition import SessionStack, StateGraphView
 
 DIRECTIONS = (("N", (0, -1)), ("E", (1, 0)), ("S", (0, 1)), ("W", (-1, 0)))
@@ -142,7 +145,7 @@ class NoSolution:
 @dataclass
 class TraceRecord:
     step: int
-    event: str  # activate|create_node|cancel|inhibit|branch|merge|solution|no_solution|conflict
+    event: str  # inhibit|create_node|solution|no_solution
     subject: str
     session_depth: int
 
@@ -186,9 +189,9 @@ class StateSpace:
         self.states: list[State] = [start]
         self.transitions: dict[State, list[State]] = {}
         seen = {start}
-        queue = [start]
+        queue = deque([start])
         while queue:
-            cur = queue.pop(0)
+            cur = queue.popleft()
             succs = []
             for _, delta in DIRECTIONS:
                 nxt = step(env, cur, delta)
@@ -221,33 +224,33 @@ class StateSpace:
         )
 
 
-def build_state_graph(env: Environment, graph: ConceptGraph | None = None) -> StateSpace:
-    return StateSpace(env, graph)
-
-
 def _cul_de_sac_cells(env: Environment) -> set[tuple[int, int]]:
     """Iterated dead-end filling; start and goal cells are protected."""
-    open_cells = {
+    live = {
         (x, y)
         for x in range(env.width)
         for y in range(env.height)
         if env.is_free((x, y))
     }
+
+    def live_neighbours(cell):
+        around = ((cell[0] + dx, cell[1] + dy) for _, (dx, dy) in DIRECTIONS)
+        return [n for n in around if n in live]
+
+    protected = (env.start, env.goal)
+    degree = {cell: len(live_neighbours(cell)) for cell in live}
+    queue = [c for c, d in degree.items() if d <= 1 and c not in protected]
     removed: set[tuple[int, int]] = set()
-    changed = True
-    while changed:
-        changed = False
-        for cell in sorted(open_cells - removed):
-            if cell in (env.start, env.goal):
-                continue
-            nbrs = sum(
-                1
-                for _, (dx, dy) in DIRECTIONS
-                if (cell[0] + dx, cell[1] + dy) in open_cells - removed
-            )
-            if nbrs <= 1:
-                removed.add(cell)
-                changed = True
+    while queue:
+        cell = queue.pop()
+        if cell in removed:
+            continue
+        removed.add(cell)
+        live.discard(cell)
+        for n in live_neighbours(cell):
+            degree[n] -= 1
+            if degree[n] <= 1 and n not in protected:
+                queue.append(n)
     return removed
 
 
@@ -303,22 +306,91 @@ def _register_solution(space: StateSpace, path: list[State]) -> int:
     return concept
 
 
-class _Branch:
-    __slots__ = ("path", "visited")
+def _shortest_path(
+    space: StateSpace,
+    source: State,
+    blocked: set[State],
+    cut: set[tuple[State, State]],
+) -> Optional[list[State]]:
+    """BFS with parent pointers from `source` to the goal state.
 
-    def __init__(self, path: list[State]):
-        self.path = path
-        self.visited = set(path)
+    Never enters a `blocked` state or takes a `cut` transition.
+    """
+    goal = space.goal_state
+    parent: dict[State, Optional[State]] = {source: None}
+    queue = deque([source])
+    while queue:
+        cur = queue.popleft()
+        if cur == goal:
+            path = []
+            while cur is not None:
+                path.append(cur)
+                cur = parent[cur]
+            return path[::-1]
+        for nxt in space.transitions[cur]:
+            if nxt not in parent and nxt not in blocked and (cur, nxt) not in cut:
+                parent[nxt] = cur
+                queue.append(nxt)
+    return None
 
-    @property
-    def head(self) -> State:
-        return self.path[-1]
 
-    def extended(self, state: State) -> "_Branch":
-        b = _Branch.__new__(_Branch)
-        b.path = self.path + [state]
-        b.visited = self.visited | {state}
-        return b
+def _loopless_paths(space: StateSpace, blocked: set[State]) -> Iterator[list[State]]:
+    """Yen's algorithm: loopless start-to-goal paths avoiding `blocked`.
+
+    Paths come in nondecreasing length, equal lengths ordered by their
+    node-id sequence. Each path after the first is the shortest candidate
+    that leaves an earlier path at some state (the spur) by a transition
+    no earlier path with the same prefix took, and never revisits the
+    prefix.
+    """
+    start = space.env.start_state
+    first = None if start in blocked else _shortest_path(space, start, blocked, set())
+    if first is None:
+        return
+
+    def ids(path: list[State]) -> tuple[int, ...]:
+        return tuple(space.node_of[s] for s in path)
+
+    candidates = [(len(first), ids(first), first)]
+    seen = {candidates[0][1]}
+    # the yielded paths as a prefix tree below the start state: the keys of
+    # the subtree under a prefix are the states those paths go to next
+    tree: dict[State, dict] = {}
+    while candidates:
+        path = heapq.heappop(candidates)[2]
+        yield path
+        subtree = tree
+        for i in range(len(path) - 1):
+            subtree.setdefault(path[i + 1], {})
+            cut = {(path[i], nxt) for nxt in subtree}
+            subtree = subtree[path[i + 1]]
+            spur = _shortest_path(space, path[i], blocked | set(path[:i]), cut)
+            if spur is None:
+                continue
+            candidate = path[:i] + spur
+            key = ids(candidate)
+            if key not in seen:
+                seen.add(key)
+                heapq.heappush(candidates, (len(candidate), key, candidate))
+
+
+def _solutions(
+    space: StateSpace, sessions: SessionStack, trace: TraceRecorder | None
+) -> Iterator[Solution]:
+    """Prune deadlocks, then yield each path that is not an inhibited solution."""
+    prune_deadlocks(space, sessions, trace)
+    rejected = _inhibited_sequences(space, sessions)
+    blocked = {
+        space.state_of[n] for n in sessions.inhibited_nodes() if n in space.state_of
+    }
+    for path in _loopless_paths(space, blocked):
+        if tuple(space.node_of[s] for s in path) in rejected:
+            continue
+        concept = _register_solution(space, path)
+        if trace is not None:
+            trace.emit("create_node", f"solution:{concept}", sessions.depth)
+            trace.emit("solution", ".".join(moves_of(path)), sessions.depth)
+        yield Solution(tuple(path), concept)
 
 
 def solve(
@@ -326,90 +398,17 @@ def solve(
     sessions: SessionStack | None = None,
     trace: TraceRecorder | None = None,
 ):
-    """Bidirectional branch search; returns Solution or NoSolution."""
+    """Shortest solution that is not inhibited; returns Solution or NoSolution."""
     if sessions is None:
         sessions = SessionStack(space.graph)
     sessions.begin_session()
     try:
-        prune_deadlocks(space, sessions, trace)
-        rejected = _inhibited_sequences(space, sessions)
-
-        def is_inhibited(state: State) -> bool:
-            return sessions.is_inhibited(space.node_of[state])
-
-        start, goal = space.env.start_state, space.goal_state
-        if goal not in space.transitions or is_inhibited(start) or is_inhibited(goal):
+        result = next(_solutions(space, sessions, trace), None)
+        if result is None:
             if trace is not None:
                 trace.emit("no_solution", "unreachable", sessions.depth)
             return NoSolution()
-
-        forward = [_Branch([start])]
-        backward = [_Branch([goal])]
-        if trace is not None:
-            trace.emit("branch", "forward:" + _state_label(start), sessions.depth)
-            trace.emit("branch", "backward:" + _state_label(goal), sessions.depth)
-
-        def check_meetings() -> Optional[list[State]]:
-            back_heads: dict[State, list[_Branch]] = {}
-            for b in backward:
-                back_heads.setdefault(b.head, []).append(b)
-            for f in forward:
-                for b in back_heads.get(f.head, ()):
-                    joined = f.path + b.path[-2::-1]
-                    if len(set(joined)) != len(joined):
-                        continue
-                    seq = tuple(space.node_of[s] for s in joined)
-                    if seq in rejected:
-                        continue
-                    if trace is not None:
-                        trace.emit("merge", _state_label(f.head), sessions.depth)
-                    return joined
-            return None
-
-        def expand(branches: list[_Branch], adjacency, terminal: State) -> list[_Branch]:
-            out: list[_Branch] = []
-            for br in branches:
-                if br.head == terminal and len(br.path) > 1:
-                    if trace is not None:
-                        trace.emit("inhibit", "branch:" + _state_label(br.head), sessions.depth)
-                    continue
-                succs = [
-                    s
-                    for s in adjacency[br.head]
-                    if s not in br.visited and not is_inhibited(s)
-                ]
-                if not succs:
-                    if trace is not None:
-                        trace.emit("inhibit", "branch:" + _state_label(br.head), sessions.depth)
-                    continue
-                for s in succs:
-                    out.append(br.extended(s))
-                    if trace is not None and len(succs) > 1:
-                        trace.emit("branch", _state_label(s), sessions.depth)
-            return out
-
-        met = check_meetings()
-        while met is None and forward and backward:
-            forward = expand(forward, space.transitions, goal)
-            if not forward:
-                break
-            met = check_meetings()
-            if met is not None:
-                break
-            backward = expand(backward, space.predecessors, start)
-            if not backward:
-                break
-            met = check_meetings()
-
-        if met is None:
-            if trace is not None:
-                trace.emit("no_solution", "all branches inhibited", sessions.depth)
-            return NoSolution()
-        concept = _register_solution(space, met)
-        if trace is not None:
-            trace.emit("create_node", f"solution:{concept}", sessions.depth)
-            trace.emit("solution", ".".join(moves_of(met)), sessions.depth)
-        return Solution(tuple(met), concept)
+        return result
     finally:
         sessions.release_session()
 
@@ -419,23 +418,9 @@ def enumerate_solutions(
     max_solutions: int | None = None,
     trace: TraceRecorder | None = None,
 ) -> list[Solution]:
-    """Repeatedly solve, inhibiting each found solution concept."""
+    """Every loopless solution (at most `max_solutions`), shortest first."""
     sessions = SessionStack(space.graph)
-    solutions: list[Solution] = []
-    opened = 0
-    try:
-        while max_solutions is None or len(solutions) < max_solutions:
-            result = solve(space, sessions, trace)
-            if isinstance(result, NoSolution):
-                break
-            solutions.append(result)
-            sessions.begin_session()
-            opened += 1
-            sessions.inhibit(result.concept)
-    finally:
-        for _ in range(opened):
-            sessions.release_session()
-    return solutions
+    return list(islice(_solutions(space, sessions, trace), max_solutions))
 
 
 def solve_with_constraints(

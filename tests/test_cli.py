@@ -187,6 +187,26 @@ def test_missing_pattern_file_is_input_error(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["learn", "{bin}"],
+        ["recognize", "{bin}", "--graph", "{absent}"],
+        ["solve", "{bin}"],
+        ["graph", "import", "{bin}"],
+        ["show", "0", "--graph", "{bin}"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_undecodable_file_is_input_error(capsys, tmp_path, argv):
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"\xff\xfe\x00abc")
+    paths = {"bin": binary, "absent": tmp_path / "absent.cg"}
+    code, _, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert code == 2
+    assert err.startswith("error: cannot read ")
+
+
 def test_graph_import_rejects_garbage(capsys, tmp_path):
     bad = tmp_path / "bad.cg"
     bad.write_text("CGRAPH 1\nN 5 Primitive 1 x\n")

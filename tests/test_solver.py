@@ -81,6 +81,9 @@ def test_prune_t_maze_arm():
     sessions = SessionStack(space.graph)
     dead = prune_deadlocks(space, sessions)
     assert {s.agent for s in dead} == {(2, 2), (2, 3), (2, 4)}
+    trace = TraceRecorder()
+    enumerate_solutions(StateSpace(env), trace=trace)  # prunes once per call
+    assert sum(r.event == "inhibit" for r in trace.records) == len(dead)
 
 
 def test_prune_cornered_box():
@@ -132,11 +135,35 @@ def test_solve_walled_off():
     assert any(r.event == "no_solution" for r in trace.records)
 
 
+def _open_room(n: int) -> str:
+    rows = ["." * n for _ in range(n)]
+    rows[0] = "S" + rows[0][1:]
+    rows[-1] = rows[-1][:-1] + "G"
+    return "\n".join(rows) + "\n"
+
+
 def test_solve_open_room_is_shortest():
-    env = Environment.from_text("S...\n....\n....\n...G\n")
-    result = solve(StateSpace(env))
-    assert isinstance(result, Solution)
-    assert len(result.moves) == bfs_distance(env)
+    for n in (4, 16):
+        env = Environment.from_text(_open_room(n))
+        result = solve(StateSpace(env))
+        assert isinstance(result, Solution)
+        assert len(result.moves) == bfs_distance(env)
+
+
+def test_solve_skips_inhibited_solution_concept():
+    space = StateSpace(Environment.from_text("S.G\n.#.\n...\n"))
+    sessions = SessionStack(space.graph)
+    first = solve(space, sessions)
+    sessions.begin_session()
+    sessions.inhibit(first.concept)
+    second = solve(space, sessions)
+    assert isinstance(second, Solution)
+    assert second.path != first.path
+    assert len(second.path) >= len(first.path)
+    sessions.inhibit(second.concept)
+    assert isinstance(solve(space, sessions), NoSolution)
+    sessions.release_session()
+    assert solve(space, sessions).path == first.path
 
 
 def test_solve_deterministic():
@@ -200,16 +227,22 @@ def test_enumerate_alternative_differs_after_inhibition():
 
 def test_enumerate_matches_all_simple_paths_random():
     rng = random.Random(19)
-    checked = 0
-    while checked < 15:
+    envs = []
+    while len(envs) < 15:
         env = Environment.from_text(random_maze_text(rng, 5, 5, 0.35))
         if count_simple_maze_paths(env, 30) > 30:
             continue
+        envs.append(env)
+    envs.append(Environment.from_text(_open_room(4)))  # 184 routes
+    for env in envs:
         solutions = enumerate_solutions(StateSpace(env))
         got = {tuple(s.agent for s in sol.path) for sol in solutions}
         assert got == all_simple_maze_paths(env)
         assert len(got) == len(solutions)  # no duplicates
-        checked += 1
+        lengths = [len(sol.path) for sol in solutions]
+        assert lengths == sorted(lengths)
+        if solutions:
+            assert lengths[0] - 1 == bfs_distance(env)
 
 
 def test_enumerate_respects_max():
