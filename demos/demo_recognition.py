@@ -5,7 +5,7 @@ copy is matched by searching over a small family of transformations --
 without ever observing the transformed variant.
 """
 
-from gridmind import Grid, Learner, Transformation, apply_transformation
+from gridmind import Grid, Learner, Transformation
 
 L_SHAPE = "x..\nx..\nxxx\n"
 
@@ -25,8 +25,7 @@ def main():
     for m in learner.recognize(damaged):
         print(f"  node {m.concept} score {m.score}")
 
-    rotated = apply_transformation(Transformation("rotate90", k=1),
-                                   Grid.from_text(L_SHAPE))
+    rotated = Transformation("rotate90", k=1).apply(Grid.from_text(L_SHAPE))
     print("\nrotated copy:")
     print(rotated.to_text())
     for m, t in learner.match_under_transformations(rotated):

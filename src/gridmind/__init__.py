@@ -36,7 +36,6 @@ from .learning import (
     ObserveReport,
     RecognitionMatch,
     Transformation,
-    apply_transformation,
     extract_features,
     find_transformation,
 )

@@ -78,7 +78,7 @@ def _cmd_show(args) -> int:
     learner = Learner(graph)
     try:
         grid = learner.reconstruct(args.node)
-    except (GraphError, LearningError) as exc:
+    except (GraphError, GridError, LearningError) as exc:
         raise _CliInputError(str(exc)) from exc
     sys.stdout.write(grid.to_text())
     return EXIT_OK

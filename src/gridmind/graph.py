@@ -15,6 +15,8 @@ parent's frame; ordinal positions (state sequences) are encoded as (i, 0).
 
 from __future__ import annotations
 
+import contextlib
+import os
 import shlex
 from dataclasses import dataclass
 from enum import Enum
@@ -243,8 +245,17 @@ class ConceptGraph:
         return "\n".join(lines) + "\n"
 
     def export_file(self, destination) -> None:
-        with open(destination, "w", encoding="utf-8") as fh:
-            fh.write(self.export_text())
+        """Write through a temp file beside `destination`, then rename it
+        over `destination`, so a failed export leaves the old file whole."""
+        tmp = f"{destination}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(self.export_text())
+            os.replace(tmp, destination)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+            raise
 
     @classmethod
     def import_text(cls, text: str) -> "ConceptGraph":

@@ -56,8 +56,7 @@ class StateGraphView:
 @dataclass
 class _Layer:
     depth: int
-    assumptions: set[int] = field(default_factory=set)
-    derived: set[int] = field(default_factory=set)
+    nodes: set[int] = field(default_factory=set)  # inhibited at this depth
 
 
 class SessionStack:
@@ -81,7 +80,7 @@ class SessionStack:
         if self.depth == 0:
             raise UnderflowError("cannot release the base layer")
         layer = self._layers.pop()
-        for n in layer.assumptions | layer.derived:
+        for n in layer.nodes:
             if self._inhibited.get(n) == layer.depth:
                 del self._inhibited[n]
 
@@ -114,7 +113,7 @@ class SessionStack:
         layer = self._layers[-1]
         if n not in self._inhibited:
             self._inhibited[n] = layer.depth
-            layer.assumptions.add(n)
+            layer.nodes.add(n)
 
     def set_active(self, n: int) -> None:
         self.graph.node(n)
@@ -132,7 +131,7 @@ class SessionStack:
         if n in self._active:
             raise ConflictError(f"propagation would inhibit Active node {n}")
         self._inhibited[n] = self._layers[-1].depth
-        self._layers[-1].derived.add(n)
+        self._layers[-1].nodes.add(n)
         derived.add(n)
 
     def propagate(

@@ -156,9 +156,6 @@ def extract_features(g: Grid) -> list[FeatureInstance]:
 
 # -- transformations -------------------------------------------------------
 
-_DIRECT_KINDS = ("identity", "rotate90", "reflect_h", "reflect_v")
-
-
 @dataclass(frozen=True)
 class Transformation:
     kind: str  # identity | translate | rotate90 | reflect_h | reflect_v | scale
@@ -249,31 +246,14 @@ class Transformation:
             k = self.k
             if g.width % k or g.height % k:
                 return None
-            cells = {}
-            for (x, y), s in g.cells.items():
-                cells.setdefault((x // k, y // k), set()).add(s)
-            out = {}
-            for (x, y), syms in cells.items():
-                if len(syms) != 1:
-                    return None
-                out[(x, y)] = next(iter(syms))
-            for (x, y), s in out.items():
-                block = {
-                    g.cells.get((x * k + i, y * k + j))
-                    for i in range(k)
-                    for j in range(k)
-                }
-                if block != {s}:
-                    return None
-            return Grid(g.width // k, g.height // k, out)
+            # shrink each k x k block to one cell; scaling back must give g
+            cells = {(x // k, y // k): s for (x, y), s in g.cells.items()}
+            pre = Grid(g.width // k, g.height // k, cells)
+            return pre if self.apply(pre) == g else None
         raise ValueError(f"unknown transformation kind {self.kind!r}")
 
 
 IDENTITY = Transformation("identity")
-
-
-def apply_transformation(t: Transformation, g: Grid) -> Grid:
-    return t.apply(g)
 
 
 def _translate_candidate(before: Grid, after: Grid) -> Transformation | None:
@@ -390,17 +370,32 @@ class Learner:
         self.graph.record_association(sorted({n for n, _ in instances}))
         return ObserveReport(root, counter[0], counter[1])
 
-    def _expand(self, node_id: int) -> dict[Coord, str]:
-        node = self.graph.node(node_id)
-        if node.kind is NodeKind.PRIMITIVE:
-            if not node.label.startswith(PRIMITIVE_PREFIX):
-                raise LearningError(f"node {node_id} is not a grid primitive")
-            return {(0, 0): node.label[len(PRIMITIVE_PREFIX):]}
-        cells: dict[Coord, str] = {}
-        for child, (dx, dy) in self.graph.children_of(node_id):
-            for (x, y), s in self._expand(child).items():
-                cells[(x + dx, y + dy)] = s
-        return cells
+    def _expand(self, root: int) -> dict[Coord, str]:
+        """Cells of `root` in its own frame, expanding each node once."""
+        memo: dict[int, dict[Coord, str]] = {}
+        stack = [root]
+        while stack:
+            node_id = stack[-1]
+            if node_id in memo:
+                stack.pop()
+                continue
+            node = self.graph.node(node_id)
+            if node.kind is NodeKind.PRIMITIVE:
+                if not node.label.startswith(PRIMITIVE_PREFIX):
+                    raise LearningError(f"node {node_id} is not a grid primitive")
+                memo[node_id] = {(0, 0): node.label[len(PRIMITIVE_PREFIX):]}
+                continue
+            children = self.graph._children[node_id]
+            pending = [c for c, _ in children if c not in memo]
+            if pending:
+                stack.extend(reversed(pending))
+                continue
+            cells: dict[Coord, str] = {}
+            for child, (dx, dy) in children:
+                for (x, y), s in memo[child].items():
+                    cells[(x + dx, y + dy)] = s
+            memo[node_id] = cells
+        return memo[root]
 
     def reconstruct(self, root: int, sessions: SessionStack | None = None) -> Grid:
         if sessions is not None and sessions.is_inhibited(root):
@@ -409,96 +404,74 @@ class Learner:
 
     # recognition
 
-    def _detected_instances(self, g: Grid) -> set[tuple[int, Coord]]:
-        out = set()
+    def recognize(self, g: Grid, sessions: SessionStack | None = None) -> list[RecognitionMatch]:
+        """Composites evoked by the features of g, best match first.
+
+        Each detected feature instance votes, through its parents, for the
+        anchor at which each placement of it would put the parent. A
+        composite scores its most-voted anchor (the top-left-most among
+        ties) over its number of parts; a composite detected as a feature
+        scores 1 at its top-left-most instance.
+        """
+        anchors: dict[int, list[Coord]] = {}  # detected node -> its anchors in g
         for feat in extract_features(g):
             node_id = self._lookup_feature_node(feat)
             if node_id is not None:
-                out.add((node_id, feat.anchor))
-        return out
-
-    def recognize(self, g: Grid, sessions: SessionStack | None = None) -> list[RecognitionMatch]:
-        detected = self._detected_instances(g)
-        detected_nodes = {n for n, _ in detected}
-        anchors_by_node: dict[int, list[Coord]] = {}
-        for n, a in detected:
-            anchors_by_node.setdefault(n, []).append(a)
+                anchors.setdefault(node_id, []).append(feat.anchor)
+        nodes, children = self.graph.nodes, self.graph._children
+        candidates = set(anchors).union(*(self.graph._parents[n] for n in anchors))
         matches = []
-        for node_id in self.graph.node_ids():
-            node = self.graph.nodes[node_id]
-            if node.kind is not NodeKind.COMPOSITE:
+        for node_id in candidates:
+            if nodes[node_id].kind is not NodeKind.COMPOSITE:
                 continue
             if sessions is not None and sessions.is_inhibited(node_id):
                 continue
-            if node_id in detected_nodes:
-                anchor = min(anchors_by_node[node_id], key=lambda a: (a[1], a[0]))
+            if node_id in anchors:
+                anchor = min(anchors[node_id], key=lambda a: (a[1], a[0]))
                 matches.append(RecognitionMatch(node_id, anchor, Fraction(1)))
                 continue
-            placements = self.graph.children_of(node_id)
-            candidates = set()
-            for child, (dx, dy) in placements:
-                for n, (ax, ay) in detected:
-                    if n == child:
-                        candidates.add((ax - dx, ay - dy))
-            best: tuple[Fraction, Coord] | None = None
-            for cand in sorted(candidates, key=lambda a: (a[1], a[0])):
-                hit = sum(
-                    1
-                    for child, (dx, dy) in placements
-                    if (child, (cand[0] + dx, cand[1] + dy)) in detected
-                )
-                score = Fraction(hit, len(placements))
-                if best is None or score > best[0]:
-                    best = (score, cand)
-            if best is not None and best[0] > 0:
-                matches.append(RecognitionMatch(node_id, best[1], best[0]))
-        matches.sort(
-            key=lambda m: (-m.score, -self.graph.nodes[m.concept].scale, m.concept)
-        )
+            votes: dict[Coord, int] = {}
+            for child, (dx, dy) in children[node_id]:
+                for ax, ay in anchors.get(child, ()):
+                    a = (ax - dx, ay - dy)
+                    votes[a] = votes.get(a, 0) + 1
+            anchor, hits = max(votes.items(), key=lambda e: (e[1], -e[0][1], -e[0][0]))
+            matches.append(RecognitionMatch(node_id, anchor, Fraction(hits, len(children[node_id]))))
+        matches.sort(key=lambda m: (-m.score, -nodes[m.concept].scale, m.concept))
         return matches
 
     def match_under_transformations(
         self, g: Grid
     ) -> list[tuple[RecognitionMatch, Transformation]]:
-        results: list[tuple[int, RecognitionMatch, Transformation]] = []
+        # listed in family order; the final stable sort keeps it among ties
         base = self.recognize(g)
-        order = 0
-        for m in base:
-            results.append((order, m, IDENTITY))
-        for dy in range(-(g.height - 1), g.height):
-            for dx in range(-(g.width - 1), g.width):
-                if dx == 0 and dy == 0:
-                    continue
-                order += 1
-                t = Transformation("translate", dx=dx, dy=dy)
-                if t.inverse_apply(g) is None:
-                    continue
-                # recognition is anchor-based: shifting the grid shifts anchors
-                for m in base:
-                    results.append(
-                        (order, RecognitionMatch(m.concept, (m.anchor[0] - dx, m.anchor[1] - dy), m.score), t)
-                    )
+        results = [(m, IDENTITY) for m in base]
+        if base:
+            # a translation has a pre-image iff it keeps the bounding box on
+            # the canvas; recognition is anchor-based, so shifting the grid
+            # shifts the anchors
+            min_x, min_y, max_x, max_y = g.bounding_box()
+            for dy in range(max_y - g.height + 1, min_y + 1):
+                for dx in range(max_x - g.width + 1, min_x + 1):
+                    if dx or dy:
+                        t = Transformation("translate", dx=dx, dy=dy)
+                        results += [
+                            (RecognitionMatch(m.concept, (m.anchor[0] - dx, m.anchor[1] - dy), m.score), t)
+                            for m in base
+                        ]
         rest: list[Transformation] = [Transformation("rotate90", k=k) for k in (1, 2, 3)]
         rest += [Transformation("reflect_h"), Transformation("reflect_v")]
         rest += [
             Transformation("scale", k=k) for k in range(2, max(g.width, g.height) + 1)
         ]
         for t in rest:
-            order += 1
             pre = t.inverse_apply(g)
-            if pre is None:
-                continue
-            for m in self.recognize(pre):
-                results.append((order, m, t))
+            if pre is not None:
+                results += [(m, t) for m in self.recognize(pre)]
         results.sort(
-            key=lambda e: (
-                -e[1].score,
-                -self.graph.nodes[e[1].concept].scale,
-                e[1].concept,
-                e[0],
-            )
+            key=lambda e: (-e[0].score, -self.graph.nodes[e[0].concept].scale, e[0].concept)
         )
-        return [(m, t) for _, m, t in results]
+        return results
 
     # transformations as concepts
 

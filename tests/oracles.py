@@ -8,8 +8,9 @@ under test.
 from __future__ import annotations
 
 from collections import deque
+from fractions import Fraction
 
-from gridmind import Environment, Grid, State
+from gridmind import Environment, Grid, NodeKind, State, extract_features
 
 DELTAS = {"N": (0, -1), "E": (1, 0), "S": (0, 1), "W": (-1, 0)}
 DELTA_ORDER = [("N", (0, -1)), ("E", (1, 0)), ("S", (0, 1)), ("W", (-1, 0))]
@@ -231,6 +232,63 @@ def inhibition_closure_oracle(
     if closed & active or any(a in active and b in active for a, b in mutex):
         return None
     return closed
+
+
+# -- recognition oracle ----------------------------------------------------
+
+
+def recognition_oracle(graph, probe: Grid, inhibited=frozenset()) -> list[tuple]:
+    """(concept, anchor, score) for every composite the probe evokes, by
+    trying every composite at every anchor that puts a part on the probe.
+
+    A feature of the probe is detected as the lowest-id node it names: the
+    primitive `cell:<symbol>` for one cell, else a node whose parts are
+    exactly that primitive at the feature's offsets. A detected composite
+    scores 1 at its top-left-most instance. Any other composite scores the
+    share of its parts (child, offset) detected at anchor + offset, at its
+    best anchor, the top-left-most among ties, if that share is not 0.
+    Sorted by score, then scale, both descending, then by id.
+    """
+    ids = sorted(graph.nodes)
+    detected = set()
+    for f in extract_features(probe):
+        prims = [
+            n for n in ids
+            if graph.nodes[n].kind is NodeKind.PRIMITIVE
+            and graph.nodes[n].label == "cell:" + f.symbol
+        ]
+        if not prims:
+            continue
+        if f.offsets == {(0, 0)}:
+            detected.add((prims[0], f.anchor))
+            continue
+        parts = sorted((prims[0], off) for off in f.offsets)
+        named = [n for n in ids if sorted(graph.children_of(n)) == parts]
+        if named:
+            detected.add((named[0], f.anchor))
+    out = []
+    for n in ids:
+        if graph.nodes[n].kind is not NodeKind.COMPOSITE or n in inhibited:
+            continue
+        own = sorted((y, x) for m, (x, y) in detected if m == n)
+        if own:
+            out.append((n, (own[0][1], own[0][0]), Fraction(1)))
+            continue
+        parts = graph.children_of(n)
+        if not parts:
+            continue
+        xs = [dx for _, (dx, _) in parts]
+        ys = [dy for _, (_, dy) in parts]
+        best = (0, None)
+        for ay in range(-max(ys), probe.height - min(ys)):
+            for ax in range(-max(xs), probe.width - min(xs)):
+                hits = sum((c, (ax + dx, ay + dy)) in detected for c, (dx, dy) in parts)
+                if hits > best[0]:
+                    best = (hits, (ax, ay))
+        if best[0]:
+            out.append((n, best[1], Fraction(best[0], len(parts))))
+    out.sort(key=lambda e: (-e[2], -graph.nodes[e[0]].scale, e[0]))
+    return out
 
 
 # -- explanation oracle ----------------------------------------------------

@@ -19,7 +19,6 @@ from gridmind import (
     StateGraphView,
     StateSpace,
     Transformation,
-    apply_transformation,
     enumerate_solutions,
     explain_features,
     prune_deadlocks,
@@ -242,7 +241,7 @@ def test_09_transformation_zero_shot():
         root = learner.observe(tight).root
         padded = Grid(tight.width + 1, tight.height + 1, dict(tight.cells))
         for t in family:
-            moved = apply_transformation(t, padded)
+            moved = t.apply(padded)
             hits = {
                 (m.concept, (u.kind, u.dx, u.dy, u.k))
                 for m, u in learner.match_under_transformations(moved)

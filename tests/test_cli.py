@@ -57,6 +57,32 @@ def test_show_unknown_node_is_input_error(capsys, ring_file, tmp_path):
     assert err.startswith("error:")
 
 
+def test_show_deep_composite_chain(capsys, tmp_path):
+    # node i places node i-1 and the primitive at (0, 0): 1500 levels deep,
+    # and the primitive is shared by every level
+    depth = 1500
+    lines = ["CGRAPH 1", "N 0 Primitive 1 cell:x"]
+    lines += [f'N {i} Composite 1 ""' for i in range(1, depth + 1)]
+    for i in range(1, depth + 1):
+        lines += [f"C {i} {i - 1} 0 0", f"C {i} 0 0 0"]
+    graph = tmp_path / "chain.cg"
+    graph.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "show", str(depth), "--graph", str(graph))
+    assert (code, out, err) == (0, "x\n", "")
+
+
+def test_show_oversized_composite_is_input_error(capsys, tmp_path):
+    graph = tmp_path / "wide.cg"
+    graph.write_text(
+        'CGRAPH 1\nN 0 Primitive 1 cell:x\nN 1 Composite 2 ""\n'
+        "C 1 0 0 0\nC 1 0 300 0\n"
+    )
+    code, out, err = run(capsys, "show", "1", "--graph", str(graph))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_recognize_known_and_unknown(capsys, ring_file, tmp_path):
     graph = str(tmp_path / "g.cg")
     run(capsys, "learn", ring_file, "--graph", graph)

@@ -167,6 +167,24 @@ def test_round_trip_preserves_mutex_scene():
     assert g2.structurally_equals(g)
 
 
+def test_failed_export_keeps_existing_file(tmp_path, monkeypatch):
+    g = ConceptGraph()
+    g.create_primitive("a")
+    dest = tmp_path / "kb.cg"
+    g.export_file(dest)
+    before = dest.read_bytes()
+
+    def broken(self):
+        raise RuntimeError("export failed")
+
+    g.create_primitive("b")
+    monkeypatch.setattr(ConceptGraph, "export_text", broken)
+    with pytest.raises(RuntimeError):
+        g.export_file(dest)
+    assert dest.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["kb.cg"]
+
+
 def test_dangling_child_is_parse_error():
     text = "CGRAPH 1\nN 0 Primitive 1 a\nC 0 7 0 0\n"
     with pytest.raises(ParseError) as exc:

@@ -16,12 +16,11 @@ from gridmind import (
     NoFitError,
     SessionStack,
     Transformation,
-    apply_transformation,
     extract_features,
     find_transformation,
 )
-from gridmind.learning import InhibitedError
-from oracles import random_grid
+from gridmind.learning import BoundsError, InhibitedError
+from oracles import random_grid, recognition_oracle
 
 RING = "xxx\nx.x\nxxx\n"
 
@@ -177,6 +176,78 @@ def test_recognition_humility_random():
         assert all(m.score < Fraction(1, 2) for m in learner.recognize(novel))
 
 
+def _scene(rng, pieces, max_dim=8):
+    """Two or three of the shared pieces placed on one canvas."""
+    cells = {}
+    for piece in rng.sample(pieces, rng.randint(2, 3)):
+        ox = rng.randint(0, max_dim - piece.width)
+        oy = rng.randint(0, max_dim - piece.height)
+        cells.update({(x + ox, y + oy): s for (x, y), s in piece.cells.items()})
+    return Grid(max_dim, max_dim, cells)
+
+
+def _probes(rng, learned):
+    source = rng.choice(learned).cropped()
+    w = source.width + rng.randint(0, 3)
+    h = source.height + rng.randint(0, 3)
+    ox, oy = rng.randint(0, w - source.width), rng.randint(0, h - source.height)
+    translated = Grid(w, h, {(x + ox, y + oy): s for (x, y), s in source.cells.items()})
+    partial = {p: s for p, s in source.cells.items() if rng.random() < 0.7}
+    return [
+        rng.choice(learned),
+        translated,
+        Grid(source.width, source.height, partial or dict(source.cells)),
+        random_grid(rng, max_dim=8, symbols="abc"),
+    ]
+
+
+def test_recognize_matches_oracle_random():
+    rng = random.Random(61)
+    for case in range(40):
+        learner = Learner()
+        # small pieces reused across scenes give features with many parents
+        pieces = [random_grid(rng, max_dim=3, symbols="ab").cropped() for _ in range(4)]
+        learned = []
+        for _ in range(rng.randint(1, 10)):
+            if rng.random() < 0.5:
+                g = _scene(rng, pieces)
+            else:
+                g = random_grid(rng, max_dim=6, symbols="abc")
+            learner.observe(g)
+            learned.append(g)
+        sessions = None
+        if case % 2:
+            sessions = SessionStack(learner.graph)
+            sessions.begin_session()
+            composites = [
+                n for n, node in learner.graph.nodes.items() if node.kind.value == "Composite"
+            ]
+            for n in rng.sample(composites, min(len(composites), rng.randint(1, 3))):
+                sessions.inhibit(n)
+            if rng.random() < 0.5:
+                sessions.propagate()
+        inhibited = sessions.inhibited_nodes() if sessions else set()
+        for probe in _probes(rng, learned) + _probes(rng, learned):
+            got = learner.recognize(probe, sessions)
+            expected = recognition_oracle(learner.graph, probe, inhibited)
+            assert [(m.concept, m.anchor, m.score) for m in got] == expected
+            if not learner.recognize(probe):
+                continue
+            listed = {
+                (t.dx, t.dy)
+                for _, t in learner.match_under_transformations(probe)
+                if t.kind == "translate"
+            }
+            fits = {
+                (dx, dy)
+                for dy in range(1 - probe.height, probe.height)
+                for dx in range(1 - probe.width, probe.width)
+                if (dx or dy)
+                and Transformation("translate", dx=dx, dy=dy).inverse_apply(probe) is not None
+            }
+            assert listed == fits
+
+
 # -- transformations -------------------------------------------------------
 
 L_SHAPE = "x..\nx..\nxxx\n"
@@ -192,16 +263,16 @@ def test_translate_learned_from_shift():
     after = Grid.from_text(".xx.\n....\n")
     t = find_transformation(before, after)
     assert (t.kind, t.dx, t.dy) == ("translate", 1, 0)
-    assert apply_transformation(t, before) == after
+    assert t.apply(before) == after
 
 
 def test_rotation_round_trips():
     before = Grid.from_text("xxx\nxxx\n")
-    after = apply_transformation(Transformation("rotate90", k=1), before)
+    after = Transformation("rotate90", k=1).apply(before)
     assert (after.width, after.height) == (2, 3)
     t = find_transformation(before, after)
     assert (t.kind, t.k) == ("rotate90", 1)
-    back = apply_transformation(Transformation("rotate90", k=3), after)
+    back = Transformation("rotate90", k=3).apply(after)
     assert back == before
 
 
@@ -209,12 +280,12 @@ def test_translate_inverse_pair():
     g = Grid.from_text(".x.\n.x.\n")
     t = Transformation("translate", dx=1, dy=0)
     u = Transformation("translate", dx=-1, dy=0)
-    assert apply_transformation(u, apply_transformation(t, g)) == g
+    assert u.apply(t.apply(g)) == g
 
 
 def test_scale_doubles_single_cell():
     g = Grid.from_text("x\n")
-    scaled = apply_transformation(Transformation("scale", k=2), g)
+    scaled = Transformation("scale", k=2).apply(g)
     assert scaled == Grid.from_text("xx\nxx\n")
 
 
@@ -240,11 +311,46 @@ def test_transformation_consistency_random():
         g = random_grid(rng, max_dim=6, symbols="ab", max_symbols=2)
         for t in kinds:
             try:
-                after = apply_transformation(t, g)
+                after = t.apply(g)
             except Exception:
                 continue
             found = find_transformation(g, after)
-            assert apply_transformation(found, g) == after
+            assert found.apply(g) == after
+
+
+def test_inverse_apply_undoes_apply_random():
+    rng = random.Random(47)
+    family = [
+        Transformation("identity"),
+        Transformation("translate", dx=1, dy=0),
+        Transformation("translate", dx=-2, dy=1),
+        Transformation("rotate90", k=1),
+        Transformation("rotate90", k=2),
+        Transformation("rotate90", k=3),
+        Transformation("reflect_h"),
+        Transformation("reflect_v"),
+        Transformation("scale", k=2),
+        Transformation("scale", k=3),
+    ]
+    for _ in range(60):
+        g = random_grid(rng, max_dim=6)
+        for t in family:
+            try:
+                image = t.apply(g)
+            except BoundsError:
+                continue
+            assert t.inverse_apply(image) == g
+
+
+def test_scale_inverse_apply_rejects_non_images():
+    t = Transformation("scale", k=2)
+    assert t.inverse_apply(Grid.from_text("xxx\nxxx\n")) is None  # width 3
+    assert t.inverse_apply(Grid.from_text("xx\nxx\nxx\n")) is None  # height 3
+    assert t.inverse_apply(Grid.from_text("xy\nxx\n")) is None  # two symbols
+    assert t.inverse_apply(Grid.from_text("xx\nx.\n")) is None  # partly empty
+    assert t.inverse_apply(Grid.from_text(".x\n..\n")) is None  # top-left empty
+    scaled = Grid.from_text("xx..\nxx..\n..yy\n..yy\n")
+    assert t.inverse_apply(scaled) == Grid.from_text("x.\n.y\n")
 
 
 def test_learn_transformation_stores_concepts():
@@ -262,7 +368,7 @@ def test_match_under_transformations_rotated_shape():
     learner = Learner()
     g = Grid.from_text(L_SHAPE)
     root = learner.observe(g).root
-    rotated = apply_transformation(Transformation("rotate90", k=1), g)
+    rotated = Transformation("rotate90", k=1).apply(g)
     results = learner.match_under_transformations(rotated)
     hits = [
         (m.concept, t.kind, t.k)
