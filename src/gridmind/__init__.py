@@ -17,7 +17,7 @@ from .graph import (
     SelfMutexError,
     UnknownNodeError,
 )
-from .grid import Grid, GridError, load_pattern
+from .grid import Grid, GridError
 from .inhibition import (
     ConflictError,
     SessionStack,
@@ -49,7 +49,6 @@ from .solver import (
     TraceRecord,
     TraceRecorder,
     enumerate_solutions,
-    load_environment,
     prune_deadlocks,
     solve,
     solve_with_constraints,

@@ -8,6 +8,7 @@ no explanation, 2 input or parse error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .graph import ConceptGraph, GraphError
@@ -34,58 +35,46 @@ class _CliInputError(Exception):
     pass
 
 
-def _load_graph(path) -> ConceptGraph:
-    if path is None:
-        return ConceptGraph()
-    try:
-        return ConceptGraph.import_file(path)
-    except FileNotFoundError:
-        return ConceptGraph()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise _CliInputError(f"cannot read {path}: {exc}") from exc
-    except GraphError as exc:
-        raise _CliInputError(f"graph file {path}: {exc}") from exc
-
-
-def _load_pattern(path) -> Grid:
+def _load(path, parse):
+    """Read `path` as UTF-8 and parse it; an error names the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return Grid.from_text(fh.read())
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise _CliInputError(f"cannot read {path}: {exc}") from exc
-    except GridError as exc:
-        raise _CliInputError(f"pattern file {path}: {exc}") from exc
+        raise _CliInputError(f"cannot read {path}: {exc}") from None
+    try:
+        return parse(text)
+    except (GraphError, GridError, InvalidEnvError) as exc:
+        raise _CliInputError(f"{path}: {exc}") from None
+
+
+def _load_graph(path) -> ConceptGraph:
+    """The graph in `path`; an empty one if there is no such file yet."""
+    if path is None or not os.path.exists(path):
+        return ConceptGraph()
+    return _load(path, ConceptGraph.import_text)
 
 
 def _cmd_learn(args) -> int:
-    grid = _load_pattern(args.pattern)
+    grid = _load(args.pattern, Grid.from_text)
     graph = _load_graph(args.graph)
-    learner = Learner(graph)
-    try:
-        report = learner.observe(grid)
-    except LearningError as exc:
-        raise _CliInputError(str(exc)) from exc
+    report = Learner(graph).observe(grid)
+    if args.graph is not None:
+        graph.export_file(args.graph)
     print(f"ROOT {report.root}")
     print(f"CREATED {report.nodes_created}")
     print(f"REUSED {report.nodes_reused}")
-    if args.graph is not None:
-        graph.export_file(args.graph)
     return EXIT_OK
 
 
 def _cmd_show(args) -> int:
-    graph = _load_graph(args.graph)
-    learner = Learner(graph)
-    try:
-        grid = learner.reconstruct(args.node)
-    except (GraphError, GridError, LearningError) as exc:
-        raise _CliInputError(str(exc)) from exc
+    grid = Learner(_load_graph(args.graph)).reconstruct(args.node)
     sys.stdout.write(grid.to_text())
     return EXIT_OK
 
 
 def _cmd_recognize(args) -> int:
-    grid = _load_pattern(args.pattern)
+    grid = _load(args.pattern, Grid.from_text)
     learner = Learner(_load_graph(args.graph))
     matches = learner.recognize(grid)
     for m in matches:
@@ -100,7 +89,7 @@ def _fmt_ids(ids) -> str:
 
 
 def _cmd_explain(args) -> int:
-    grid = _load_pattern(args.pattern)
+    grid = _load(args.pattern, Grid.from_text)
     learner = Learner(_load_graph(args.graph))
     explanations = explain(learner, grid)
     regular = [e for e in explanations if not e.novel]
@@ -133,14 +122,7 @@ def _cmd_solve(args) -> int:
             raise _CliInputError(f"--enumerate needs N >= 0, got {args.enumerate}")
         if args.forbid:
             raise _CliInputError("--forbid cannot be combined with --enumerate")
-    try:
-        with open(args.env, "r", encoding="utf-8") as fh:
-            env = Environment.from_text(fh.read())
-        space = StateSpace(env)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise _CliInputError(f"cannot read {args.env}: {exc}") from exc
-    except InvalidEnvError as exc:
-        raise _CliInputError(str(exc)) from exc
+    space = StateSpace(_load(args.env, Environment.from_text))
     trace = TraceRecorder()
     forbidden = {_parse_cell(c) for c in args.forbid or ()}
     code = EXIT_OK
@@ -168,12 +150,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    try:
-        graph = ConceptGraph.import_file(args.source)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise _CliInputError(f"cannot read {args.source}: {exc}") from exc
-    except GraphError as exc:
-        raise _CliInputError(str(exc)) from exc
+    graph = _load(args.source, ConceptGraph.import_text)
     if args.action == "export":
         if args.dest is None:
             raise _CliInputError("graph export needs a destination file")
@@ -240,7 +217,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _CliInputError as exc:
+    except (_CliInputError, GraphError, GridError, LearningError, InvalidEnvError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -11,13 +11,18 @@ same links as sorted pairs.
 
 Roles are (dx, dy) integer offsets of the child's anchor inside the
 parent's frame; ordinal positions (state sequences) are encoded as (i, 0).
+
+In the `CGRAPH 1` text format a record is whitespace-separated fields,
+and a node's label is the rest of its `N` line: bare when it is non-empty
+and has no whitespace and no double quote, otherwise double-quoted with
+the escapes listed at `_ESCAPES`.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
-import shlex
+import re
 from dataclasses import dataclass
 from enum import Enum
 
@@ -269,14 +274,12 @@ class ConceptGraph:
             line = raw.strip()
             if not line:
                 continue
-            try:
-                fields = shlex.split(line)
-            except ValueError as exc:
-                raise ParseError(line_no, f"unparseable record: {exc}") from None
+            fields = line.split(None, 4)  # an N record's label is the rest of the line
             tag = fields[0]
             try:
                 if tag == "N":
-                    _, sid, kind_name, sscale, label = fields
+                    _, sid, kind_name, sscale, quoted = fields
+                    label = _unquote(quoted)
                     node_id, scale = int(sid), int(sscale)
                     if node_id in g.nodes:
                         raise ParseError(line_no, f"duplicate node id {node_id}")
@@ -322,16 +325,32 @@ class ConceptGraph:
                 g._composite_index.setdefault(g._composite_key(entries), node_id)
         return g
 
-    @classmethod
-    def import_file(cls, source) -> "ConceptGraph":
-        with open(source, "r", encoding="utf-8") as fh:
-            return cls.import_text(fh.read())
-
     def structurally_equals(self, other: "ConceptGraph") -> bool:
         return self.export_text() == other.export_text()
 
 
+_NEEDS_QUOTES = re.compile(r'[\s"]')
+# one table spells a quoted label both ways: `\\`, `\"`, and `\uXXXX` for
+# each character str.splitlines breaks at, so a label never splits a record
+_ESCAPES = {"\\": "\\\\", '"': '\\"'} | {
+    ch: f"\\u{ord(ch):04x}" for ch in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+}
+_UNESCAPES = {esc: ch for ch, esc in _ESCAPES.items()}
+_UNESCAPE = re.compile("|".join(map(re.escape, _UNESCAPES)))
+_QUOTED = re.compile(rf'"((?:[^"\\]|{_UNESCAPE.pattern})*)"')
+
+
 def _quote(label: str) -> str:
-    if label == "" or any(ch.isspace() for ch in label) or '"' in label:
-        return '"' + label.replace('"', '\\"') + '"'
-    return label
+    """A label as the last field of an `N` record; `_unquote` inverts it."""
+    if label and not _NEEDS_QUOTES.search(label):
+        return label
+    return '"' + "".join(_ESCAPES.get(ch, ch) for ch in label) + '"'
+
+
+def _unquote(field: str) -> str:
+    if not _NEEDS_QUOTES.search(field):
+        return field
+    m = _QUOTED.fullmatch(field)
+    if m is None:
+        raise ValueError(f"bad label {field!r}")
+    return _UNESCAPE.sub(lambda e: _UNESCAPES[e[0]], m[1])

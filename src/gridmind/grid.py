@@ -112,8 +112,3 @@ class Grid:
         w = max(x for x, _ in shifted) + 1
         h = max(y for _, y in shifted) + 1
         return cls(w, h, shifted)
-
-
-def load_pattern(path) -> Grid:
-    with open(path, "r", encoding="utf-8") as fh:
-        return Grid.from_text(fh.read())

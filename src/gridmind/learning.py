@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph import ConceptGraph, NodeKind
-from .grid import MAX_DIM, Grid
+from .grid import MAX_DIM, Grid, GridError
 from .inhibition import SessionStack
 
 Coord = tuple[int, int]
@@ -371,7 +371,8 @@ class Learner:
         return ObserveReport(root, counter[0], counter[1])
 
     def _expand(self, root: int) -> dict[Coord, str]:
-        """Cells of `root` in its own frame, expanding each node once."""
+        """Cells of `root` in its own frame, expanding each node once and
+        stopping at the first node wider or taller than `MAX_DIM`."""
         memo: dict[int, dict[Coord, str]] = {}
         stack = [root]
         while stack:
@@ -394,6 +395,9 @@ class Learner:
             for child, (dx, dy) in children:
                 for (x, y), s in memo[child].items():
                     cells[(x + dx, y + dy)] = s
+            xs, ys = {x for x, _ in cells}, {y for _, y in cells}
+            if cells and (max(xs) - min(xs) >= MAX_DIM or max(ys) - min(ys) >= MAX_DIM):
+                raise GridError(f"node {node_id} does not fit in {MAX_DIM}x{MAX_DIM} cells")
             memo[node_id] = cells
         return memo[root]
 

@@ -20,6 +20,7 @@ from itertools import islice
 from typing import Iterator, NamedTuple, Optional
 
 from .graph import ConceptGraph, NodeKind
+from .grid import MAX_DIM
 from .inhibition import SessionStack, StateGraphView
 
 DIRECTIONS = (("N", (0, -1)), ("E", (1, 0)), ("S", (0, 1)), ("W", (-1, 0)))
@@ -71,6 +72,8 @@ class Environment:
         if not lines:
             raise InvalidEnvError("empty environment")
         width = max(len(ln) for ln in lines)
+        if width > MAX_DIM or len(lines) > MAX_DIM:
+            raise InvalidEnvError(f"environment larger than {MAX_DIM}x{MAX_DIM}: {width}x{len(lines)}")
         walls = set()
         marks: dict[str, list[tuple[int, int]]] = {"S": [], "G": [], "B": [], "T": []}
         for y, line in enumerate(lines):
@@ -99,11 +102,6 @@ class Environment:
             box,
             target,
         )
-
-
-def load_environment(path) -> Environment:
-    with open(path, "r", encoding="utf-8") as fh:
-        return Environment.from_text(fh.read())
 
 
 def step(env: Environment, state: State, delta: tuple[int, int]) -> Optional[State]:

@@ -346,6 +346,18 @@ def explanation_subsets_oracle(
     return {s for s in valid if not any(s < o for o in valid)}
 
 
+# -- graph format oracle ---------------------------------------------------
+
+
+def legacy_quote(label: str) -> str:
+    """How `CGRAPH 1` files wrote a label before labels had escapes: bare if
+    non-empty with no whitespace and no double quote, else double-quoted
+    with only the double quotes backslash-escaped."""
+    if label == "" or any(ch.isspace() for ch in label) or '"' in label:
+        return '"' + label.replace('"', '\\"') + '"'
+    return label
+
+
 # -- misc ------------------------------------------------------------------
 
 

@@ -1,9 +1,16 @@
 """Command-line interface: output formats, exit codes, persistence."""
 
+import contextlib
+import io
 import subprocess
 import sys
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridmind.cli import main
 
@@ -81,6 +88,26 @@ def test_show_oversized_composite_is_input_error(capsys, tmp_path):
     assert (code, out) == (2, "")
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_show_doubling_chain_stops_at_max_dim(capsys, tmp_path):
+    # node i places node i-1 at x = 0 and x = 2^(i-1): 2^16 cells wide
+    depth = 16
+    lines = ["CGRAPH 1", "N 0 Primitive 1 cell:x"]
+    lines += [f'N {i} Composite {2 ** i} ""' for i in range(1, depth + 1)]
+    for i in range(1, depth + 1):
+        lines += [f"C {i} {i - 1} 0 0", f"C {i} {i - 1} {2 ** (i - 1)} 0"]
+    graph = tmp_path / "doubling.cg"
+    graph.write_text("\n".join(lines) + "\n")
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "show", str(depth), "--graph", str(graph))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    assert peak < 2 * 2**20
 
 
 def test_recognize_known_and_unknown(capsys, ring_file, tmp_path):
@@ -193,6 +220,14 @@ def test_solve_invalid_env_is_input_error(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+def test_solve_oversized_env_is_input_error(capsys, tmp_path):
+    env = tmp_path / "wide.env"
+    env.write_text("S" + "." * 256 + "G\n")
+    code, out, err = run(capsys, "solve", str(env))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "258x1" in err
+
+
 def test_solve_trace_written_and_deterministic(capsys, tmp_path):
     env = tmp_path / "c.env"
     env.write_text("S..\n.#.\n..G\n")
@@ -231,6 +266,85 @@ def test_undecodable_file_is_input_error(capsys, tmp_path, argv):
     code, _, err = run(capsys, *(a.format(**paths) for a in argv))
     assert code == 2
     assert err.startswith("error: cannot read ")
+
+
+def test_learn_labels_with_quote_and_backslash(capsys, tmp_path):
+    graph = str(tmp_path / "g.cg")
+    for i, text in enumerate(["a'\n", "b\\\n", "\"'\\\n"]):
+        pattern = tmp_path / f"p{i}.txt"
+        pattern.write_text(text)
+        code, _, err = run(capsys, "learn", str(pattern), "--graph", graph)
+        assert (code, err) == (0, "")
+        code, out, err = run(capsys, "recognize", str(pattern), "--graph", graph)
+        assert (code, err) == (0, "")
+        assert out.startswith("MATCH ")
+    code, out, _ = run(capsys, "graph", "import", graph)
+    assert (code, out.splitlines()[0]) == (0, "IMPORTED 8 nodes")
+
+
+@pytest.mark.parametrize("command", ["learn", "graph export"])
+def test_write_to_missing_directory_is_input_error(capsys, ring_file, tmp_path, command):
+    graph = str(tmp_path / "g.cg")
+    run(capsys, "learn", ring_file, "--graph", graph)
+    dest = tmp_path / "missing-dir" / "kb.cg"
+    if command == "learn":
+        argv = ["learn", ring_file, "--graph", str(dest)]
+    else:
+        argv = ["graph", "export", graph, str(dest)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and str(dest) in err
+    assert "Traceback" not in err
+    assert not dest.parent.exists()
+
+
+def _text_bytes(alphabet):
+    return st.text(alphabet=alphabet, max_size=24).map(str.encode)
+
+
+_GRAPH_RECORDS = [
+    b"N 0 Primitive 1 cell:x", b'N 1 Composite 2 ""', b"N 2 Primitive 1 cell:\\",
+    b'N 3 State 1 "a\\u000ab"', b"C 1 0 0 0", b"C 1 2 1 0", b"C 1 0 300 0", b"C 2 1 0 0",
+    b"C 3 1 0 0", b"C 0 2 0 0", b"N 2 Transformation 1 rotate90:1", b"M 0 1", b"E 0 2 1",
+]
+PATTERN_BYTES = st.one_of(st.binary(max_size=24), _text_bytes("ab.x \n'\\\"\t"))
+ENV_BYTES = st.one_of(st.binary(max_size=24), _text_bytes("SGBT.# \n"))
+GRAPH_BYTES = st.one_of(
+    st.binary(max_size=24),
+    st.builds(
+        lambda records, tail: b"\n".join([b"CGRAPH 1", *records, tail]),
+        st.lists(st.sampled_from(_GRAPH_RECORDS), max_size=6),
+        st.binary(max_size=8),
+    ),
+)
+COMMANDS = [
+    ["learn", "{pattern}", "--graph", "{graph}"],
+    ["show", "1", "--graph", "{graph}"],
+    ["recognize", "{pattern}", "--graph", "{graph}"],
+    ["explain", "{pattern}", "--graph", "{graph}"],
+    ["solve", "{env}"],
+    ["solve", "{env}", "--enumerate", "3"],
+    ["graph", "import", "{graph}"],
+    ["graph", "export", "{graph}", "{dest}"],
+]
+
+
+@given(pattern=PATTERN_BYTES, env=ENV_BYTES, graph=GRAPH_BYTES)
+@settings(max_examples=60, deadline=None)
+def test_exit_code_contract_on_arbitrary_files(pattern, env, graph):
+    """Whatever bytes the input files hold, every command exits 0, 1 or 2
+    and raises nothing (learn runs first, so the others see its KB)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"dest": Path(tmp, "dest.cg")}
+        for name, data in (("pattern", pattern), ("env", env), ("graph", graph)):
+            paths[name] = Path(tmp, name)
+            paths[name].write_bytes(data)
+        for argv in COMMANDS:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([a.format(**paths) for a in argv])
+            assert code in (0, 1, 2), argv
+            assert "Traceback" not in err.getvalue()
 
 
 def test_graph_import_rejects_garbage(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Node/link store behavior: creation, dedup, mutex, persistence."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from gridmind import (
     ParseError,
     SelfMutexError,
 )
+from oracles import legacy_quote
 
 
 def test_first_primitive_gets_id_zero():
@@ -248,14 +250,60 @@ def test_dedup_property_random():
     assert len(g) == count
 
 
-@given(st.lists(st.text(alphabet="ab c", min_size=0, max_size=8), min_size=1, max_size=8))
-@settings(max_examples=50)
+@given(st.lists(st.text(max_size=8), min_size=1, max_size=8))
+@settings(max_examples=200)
 def test_arbitrary_labels_round_trip(labels):
     g = ConceptGraph()
     for lb in labels:
         g.create_primitive(lb)
-    g2 = ConceptGraph.import_text(g.export_text())
+    text = g.export_text()
+    g2 = ConceptGraph.import_text(text)
     assert [g2.nodes[i].label for i in sorted(g2.nodes)] == labels
+    assert g2.export_text() == text
+
+
+def _is_line_break(ch: str) -> bool:
+    return len(f"a{ch}b".splitlines()) > 1
+
+
+@given(st.lists(st.text(max_size=8).filter(
+    lambda lb: "\\" not in lb and not any(map(_is_line_break, lb))), min_size=1, max_size=8))
+@settings(max_examples=200)
+def test_export_matches_legacy_quoting(labels):
+    g = ConceptGraph()
+    for lb in labels:
+        g.create_primitive(lb)
+    records = g.export_text().splitlines()[1:]
+    assert records == [f"N {i} Primitive 1 {legacy_quote(lb)}" for i, lb in enumerate(labels)]
+
+
+def test_every_line_break_round_trips():
+    breaks = [chr(i) for i in range(sys.maxunicode + 1) if _is_line_break(chr(i))]
+    g = ConceptGraph()
+    for ch in breaks:
+        g.create_primitive(f"a{ch}b")
+    text = g.export_text()
+    assert len(text.splitlines()) == 1 + len(breaks)
+    assert [n.label for n in ConceptGraph.import_text(text).nodes.values()] == [
+        f"a{ch}b" for ch in breaks
+    ]
+
+
+@pytest.mark.parametrize(
+    "label",
+    ['"a', 'a"b', '"a"b"', '"a\\q"', '"a\\"', '"\\u0041"', "a b", '"a" b'],
+)
+def test_malformed_label_is_parse_error(label):
+    with pytest.raises(ParseError) as exc:
+        ConceptGraph.import_text(f"CGRAPH 1\nN 0 Primitive 1 {label}\n")
+    assert "line 2" in str(exc.value)
+
+
+def test_bare_labels_are_read_literally():
+    text = "CGRAPH 1\nN 0 Primitive 1 cell:'\nN 1 Primitive 1 cell:\\\nN 2 Primitive 1 x'\\y\n"
+    g = ConceptGraph.import_text(text)
+    assert [n.label for n in g.nodes.values()] == ["cell:'", "cell:\\", "x'\\y"]
+    assert g.export_text() == text
 
 
 def test_no_node_is_its_own_ancestor_random():

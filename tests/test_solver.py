@@ -47,6 +47,11 @@ def test_environment_validation():
         Environment.from_text("S.G\nB..\n")  # box without target
     env = Environment.from_text("S.G\n.B.\n..T\n")
     assert env.kind == "PushPuzzle"
+    assert Environment.from_text("S" + "." * 254 + "G\n").width == 256
+    with pytest.raises(InvalidEnvError):
+        Environment.from_text("S" + "." * 255 + "G\n")  # 257 wide
+    with pytest.raises(InvalidEnvError):
+        Environment.from_text("S\n" + ".\n" * 255 + "G\n")  # 257 tall
 
 
 def test_corridor_state_graph():
