@@ -251,15 +251,18 @@ class ConceptGraph:
 
     def export_file(self, destination) -> None:
         """Write through a temp file beside `destination`, then rename it
-        over `destination`, so a failed export leaves the old file whole."""
+        over `destination`, so a failed export leaves the old file whole.
+        An `OSError` names `destination`, not the temp file."""
         tmp = f"{destination}.{os.getpid()}.tmp"
         try:
             with open(tmp, "w", encoding="utf-8") as fh:
                 fh.write(self.export_text())
             os.replace(tmp, destination)
-        except BaseException:
+        except BaseException as exc:
             with contextlib.suppress(OSError):
                 os.remove(tmp)
+            if isinstance(exc, OSError):
+                raise OSError(exc.errno, exc.strerror, os.fspath(destination)) from None
             raise
 
     @classmethod

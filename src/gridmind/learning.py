@@ -441,7 +441,9 @@ class Learner:
                     votes[a] = votes.get(a, 0) + 1
             anchor, hits = max(votes.items(), key=lambda e: (e[1], -e[0][1], -e[0][0]))
             matches.append(RecognitionMatch(node_id, anchor, Fraction(hits, len(children[node_id]))))
-        matches.sort(key=lambda m: (-m.score, -nodes[m.concept].scale, m.concept))
+        # best score first, then larger scale, then lower id; the score sort is stable
+        matches.sort(key=lambda m: (-nodes[m.concept].scale, m.concept))
+        matches.sort(key=lambda m: m.score, reverse=True)
         return matches
 
     def match_under_transformations(

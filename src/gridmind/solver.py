@@ -1,14 +1,19 @@
 """Grounded problem solving on corridor mazes and single-box push puzzles.
 
-The solver works over a materialized state graph. Before searching it
-inhibits deadlock states (states from which no goal state is reachable,
-plus iterated cul-de-sac cells in mazes). The search is a breadth-first
-search with parent pointers that skips inhibited states. Yen's algorithm
-(1971) runs it again from each branching point of the paths found so far,
-which yields every loopless start-to-goal path in nondecreasing length.
-Solutions are registered as high-level concepts; a path whose solution
-concept is inhibited is skipped, so inhibiting a found solution makes the
-next run return an alternative.
+The state space is implicit: a search steps from the states it reaches
+and nothing else, and a state gets a concept node only when a path or an
+inhibition names it. The search is a breadth-first search with parent
+pointers that skips blocked states: those inhibited in the caller's
+sessions and, under constraints, those on a forbidden cell. Yen's
+algorithm (1971) runs it again from each branching point of the paths
+found so far, which yields every loopless start-to-goal path in
+nondecreasing length. Enumeration first inhibits deadlock states (states
+from which no goal state is reachable, plus iterated cul-de-sac cells in
+mazes), which needs the whole space; a single solve does not, because no
+deadlock state lies on a shortest path. Solutions are registered as
+high-level concepts; a path whose solution concept is inhibited is
+skipped, so inhibiting a found solution makes the next run return an
+alternative.
 """
 
 from __future__ import annotations
@@ -16,8 +21,9 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
-from typing import Iterator, NamedTuple, Optional
+from typing import Callable, Container, Iterator, NamedTuple, Optional
 
 from .graph import ConceptGraph, NodeKind
 from .grid import MAX_DIM
@@ -27,6 +33,11 @@ DIRECTIONS = (("N", (0, -1)), ("E", (1, 0)), ("S", (0, 1)), ("W", (-1, 0)))
 
 WALL = "#"
 FREE_CHARS = {".", " "}
+
+# Most states a search or a full build may step from. Every maze up to
+# MAX_DIM x MAX_DIM fits, and so does every push puzzle up to about a 16 x 16
+# open room; beyond that a push space grows as the square of its cells.
+MAX_STATES = MAX_DIM * MAX_DIM
 
 
 class InvalidEnvError(Exception):
@@ -171,49 +182,90 @@ def _state_label(state: State) -> str:
     return label
 
 
+class _NodeIndex(dict):
+    """State -> concept node; a state's node is created on its first lookup."""
+
+    def __init__(self, space: "StateSpace"):
+        super().__init__()
+        self._space = space
+
+    def __missing__(self, state: State) -> int:
+        node = self._space.graph.create_atom(NodeKind.STATE, _state_label(state))
+        self[state] = node
+        self._space.state_of[node] = state
+        return node
+
+
 class StateSpace:
-    """Reachable states of an environment plus their concept nodes."""
+    """The states reachable in an environment, stepped into on demand.
+
+    `successors` steps from one state and remembers the result; `node_of`
+    gives a state its concept node the first time it is looked up, and
+    `state_of` maps the node back. `states`, `transitions`, `predecessors`,
+    `targets` and `view()` build the whole reachable space once, on first
+    use, and give every state its node in breadth-first order.
+    """
 
     def __init__(self, env: Environment, graph: ConceptGraph | None = None):
-        self.env = env
-        self.graph = graph if graph is not None else ConceptGraph()
-        start = env.start_state
         if not env.is_free(env.start) or not env.is_free(env.goal):
             raise InvalidEnvError("start or goal on a wall")
         if env.box is not None and (
             not env.is_free(env.box) or not env.is_free(env.box_target)
         ):
             raise InvalidEnvError("box or box target on a wall")
-        self.states: list[State] = [start]
-        self.transitions: dict[State, list[State]] = {}
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            cur = queue.popleft()
+        self.env = env
+        self.graph = graph if graph is not None else ConceptGraph()
+        self.goal_state = env.goal_state
+        self.node_of: dict[State, int] = _NodeIndex(self)
+        self.state_of: dict[int, State] = {}
+        self._successors: dict[State, list[State]] = {}
+
+    def successors(self, state: State) -> list[State]:
+        """States one move from `state`, in `DIRECTIONS` order, without repeats."""
+        succs = self._successors.get(state)
+        if succs is None:
+            if len(self._successors) >= MAX_STATES:
+                raise InvalidEnvError(f"the search space exceeds {MAX_STATES} states")
             succs = []
             for _, delta in DIRECTIONS:
-                nxt = step(env, cur, delta)
-                if nxt is not None and nxt != cur and nxt not in succs:
+                nxt = step(self.env, state, delta)
+                if nxt is not None and nxt != state and nxt not in succs:
                     succs.append(nxt)
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        self.states.append(nxt)
-                        queue.append(nxt)
-            self.transitions[cur] = succs
-        self.predecessors: dict[State, list[State]] = {s: [] for s in self.states}
+            self._successors[state] = succs
+        return succs
+
+    @cached_property
+    def states(self) -> list[State]:
+        states = [self.env.start_state]
+        seen = set(states)
+        for cur in states:  # breadth-first: the list is the queue
+            for nxt in self.successors(cur):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    states.append(nxt)
+        for s in states:
+            self.node_of[s]  # names every state, in breadth-first order
+        return states
+
+    @cached_property
+    def transitions(self) -> dict[State, list[State]]:
+        return {s: self.successors(s) for s in self.states}
+
+    @cached_property
+    def predecessors(self) -> dict[State, list[State]]:
+        preds: dict[State, list[State]] = {s: [] for s in self.states}
         for s in self.states:
-            for t in self.transitions[s]:
-                self.predecessors[t].append(s)
-        self.node_of: dict[State, int] = {}
-        for s in self.states:
-            self.node_of[s] = self.graph.create_atom(NodeKind.STATE, _state_label(s))
-        self.state_of = {n: s for s, n in self.node_of.items()}
-        self.goal_state = env.goal_state
-        self.targets = {s for s in self.states if s == self.goal_state}
+            for t in self.successors(s):
+                preds[t].append(s)
+        return preds
+
+    @cached_property
+    def targets(self) -> set[State]:
+        return {s for s in self.states if s == self.goal_state}
 
     def view(self) -> StateGraphView:
         return StateGraphView(
-            states=set(self.node_of.values()),
+            states={self.node_of[s] for s in self.states},
             transitions={
                 self.node_of[s]: [self.node_of[t] for t in self.transitions[s]]
                 for s in self.states
@@ -307,7 +359,7 @@ def _register_solution(space: StateSpace, path: list[State]) -> int:
 def _shortest_path(
     space: StateSpace,
     source: State,
-    blocked: set[State],
+    blocked: Callable[[State], bool],
     cut: set[tuple[State, State]],
 ) -> Optional[list[State]]:
     """BFS with parent pointers from `source` to the goal state.
@@ -325,15 +377,17 @@ def _shortest_path(
                 path.append(cur)
                 cur = parent[cur]
             return path[::-1]
-        for nxt in space.transitions[cur]:
-            if nxt not in parent and nxt not in blocked and (cur, nxt) not in cut:
+        for nxt in space.successors(cur):
+            if nxt not in parent and (cur, nxt) not in cut and not blocked(nxt):
                 parent[nxt] = cur
                 queue.append(nxt)
     return None
 
 
-def _loopless_paths(space: StateSpace, blocked: set[State]) -> Iterator[list[State]]:
-    """Yen's algorithm: loopless start-to-goal paths avoiding `blocked`.
+def _loopless_paths(
+    space: StateSpace, blocked: Callable[[State], bool]
+) -> Iterator[list[State]]:
+    """Yen's algorithm: loopless start-to-goal paths avoiding `blocked` states.
 
     Paths come in nondecreasing length, equal lengths ordered by their
     node-id sequence. Each path after the first is the shortest candidate
@@ -342,7 +396,7 @@ def _loopless_paths(space: StateSpace, blocked: set[State]) -> Iterator[list[Sta
     prefix.
     """
     start = space.env.start_state
-    first = None if start in blocked else _shortest_path(space, start, blocked, set())
+    first = None if blocked(start) else _shortest_path(space, start, blocked, set())
     if first is None:
         return
 
@@ -362,7 +416,8 @@ def _loopless_paths(space: StateSpace, blocked: set[State]) -> Iterator[list[Sta
             subtree.setdefault(path[i + 1], {})
             cut = {(path[i], nxt) for nxt in subtree}
             subtree = subtree[path[i + 1]]
-            spur = _shortest_path(space, path[i], blocked | set(path[:i]), cut)
+            prefix = set(path[:i])
+            spur = _shortest_path(space, path[i], lambda s: s in prefix or blocked(s), cut)
             if spur is None:
                 continue
             candidate = path[:i] + spur
@@ -373,15 +428,18 @@ def _loopless_paths(space: StateSpace, blocked: set[State]) -> Iterator[list[Sta
 
 
 def _solutions(
-    space: StateSpace, sessions: SessionStack, trace: TraceRecorder | None
+    space: StateSpace,
+    sessions: SessionStack,
+    trace: TraceRecorder | None,
+    forbidden: Container[tuple[int, int]] = (),
 ) -> Iterator[Solution]:
-    """Prune deadlocks, then yield each path that is not an inhibited solution."""
-    prune_deadlocks(space, sessions, trace)
+    """Yield each path that avoids inhibited states and `forbidden` cells
+    and is not an inhibited solution."""
     rejected = _inhibited_sequences(space, sessions)
-    blocked = {
+    inhibited = {
         space.state_of[n] for n in sessions.inhibited_nodes() if n in space.state_of
     }
-    for path in _loopless_paths(space, blocked):
+    for path in _loopless_paths(space, lambda s: s in inhibited or s.agent in forbidden):
         if tuple(space.node_of[s] for s in path) in rejected:
             continue
         concept = _register_solution(space, path)
@@ -391,24 +449,37 @@ def _solutions(
         yield Solution(tuple(path), concept)
 
 
+def _first_solution(
+    space: StateSpace,
+    sessions: SessionStack | None,
+    trace: TraceRecorder | None,
+    forbidden: Container[tuple[int, int]] = (),
+):
+    if sessions is None:
+        sessions = SessionStack(space.graph)
+    result = next(_solutions(space, sessions, trace, forbidden), None)
+    if result is None:
+        if trace is not None:
+            trace.emit("no_solution", "unreachable", sessions.depth)
+        return NoSolution()
+    return result
+
+
 def solve(
     space: StateSpace,
     sessions: SessionStack | None = None,
     trace: TraceRecorder | None = None,
 ):
-    """Shortest solution that is not inhibited; returns Solution or NoSolution."""
-    if sessions is None:
-        sessions = SessionStack(space.graph)
-    sessions.begin_session()
-    try:
-        result = next(_solutions(space, sessions, trace), None)
-        if result is None:
-            if trace is not None:
-                trace.emit("no_solution", "unreachable", sessions.depth)
-            return NoSolution()
-        return result
-    finally:
-        sessions.release_session()
+    """Shortest solution that is not inhibited; returns Solution or NoSolution.
+
+    The search steps only into the states it reaches, and unless a found
+    path is an inhibited solution, only the returned path's states get
+    nodes. It needs no deadlock pruning: a state that cannot reach the
+    goal never lies on a shortest path, so the breadth-first parent
+    pointers pick the path they would pick with the deadlock states
+    inhibited.
+    """
+    return _first_solution(space, sessions, trace)
 
 
 def enumerate_solutions(
@@ -416,8 +487,13 @@ def enumerate_solutions(
     max_solutions: int | None = None,
     trace: TraceRecorder | None = None,
 ) -> list[Solution]:
-    """Every loopless solution (at most `max_solutions`), shortest first."""
+    """Every loopless solution (at most `max_solutions`), shortest first.
+
+    Deadlock states are inhibited first, which builds the whole space and
+    spares Yen's spur searches from entering them.
+    """
     sessions = SessionStack(space.graph)
+    prune_deadlocks(space, sessions, trace)
     return list(islice(_solutions(space, sessions, trace), max_solutions))
 
 
@@ -426,11 +502,5 @@ def solve_with_constraints(
     forbidden: set[tuple[int, int]],
     trace: TraceRecorder | None = None,
 ):
-    """Solve with the given agent cells inhibited as permanent base knowledge."""
-    sessions = SessionStack(space.graph)
-    for s in space.states:
-        if s.agent in forbidden:
-            sessions.inhibit(space.node_of[s])
-            if trace is not None:
-                trace.emit("inhibit", _state_label(s), sessions.depth)
-    return solve(space, sessions, trace)
+    """Shortest solution whose agent never stands on a `forbidden` cell."""
+    return _first_solution(space, None, trace, forbidden)

@@ -204,6 +204,27 @@ def test_solve_forbid_cell(capsys, tmp_path):
     assert out == "NO SOLUTION\n"
 
 
+def test_solve_forbid_trace_has_no_inhibitions(capsys, tmp_path):
+    env = tmp_path / "c.env"
+    env.write_text("S..\n.#.\n..G\n")
+    trace = tmp_path / "t"
+    code, out, _ = run(capsys, "solve", str(env), "--forbid", "1,0", "--trace", str(trace))
+    assert (code, out) == (0, "SOLUTION 4 moves: S S E E\n")
+    events = [line.split("\t")[1] for line in trace.read_text().splitlines()]
+    assert events == ["create_node", "solution"]
+
+
+def test_solve_over_state_budget_is_input_error(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr("gridmind.solver.MAX_STATES", 8)
+    env = tmp_path / "room.env"
+    env.write_text("S...\n....\n....\n...G\n")
+    for extra in ((), ("--enumerate",), ("--forbid", "1,1")):
+        code, out, err = run(capsys, "solve", str(env), *extra)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "8 states" in err
+        assert "Traceback" not in err
+
+
 def test_solve_bad_forbid_is_input_error(capsys, tmp_path):
     env = tmp_path / "c.env"
     env.write_text("S.G\n")
@@ -294,6 +315,7 @@ def test_write_to_missing_directory_is_input_error(capsys, ring_file, tmp_path, 
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and str(dest) in err
+    assert ".tmp" not in err
     assert "Traceback" not in err
     assert not dest.parent.exists()
 

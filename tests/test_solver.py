@@ -328,3 +328,120 @@ def test_push_random_solvable_iff_oracle():
             assert isinstance(result, Solution)
             _assert_legal(env, result)
         checked += 1
+
+
+def _serpentine(width: int, height: int) -> str:
+    """Free rows joined by one gap at alternating ends; S and G at the ends."""
+    rows = []
+    for y in range(height):
+        if y % 2 == 0:
+            rows.append(["."] * width)
+        else:
+            row = ["#"] * width
+            row[width - 1 if y % 4 == 1 else 0] = "."
+            rows.append(row)
+    last = height - 1 - (height - 1) % 2
+    rows[0][0] = "S"
+    rows[last][width - 1 if last % 4 == 0 else 0] = "G"
+    return "\n".join("".join(row) for row in rows) + "\n"
+
+
+def test_lazy_solve_matches_pruned_enumeration_random():
+    # solve searches the unpruned space and enumeration the pruned one;
+    # pruning removes no state of a shortest path, so both pick one path
+    rng = random.Random(71)
+    texts = []
+    for _ in range(40):
+        size = rng.randint(3, 8)
+        texts.append(random_maze_text(rng, size, size, rng.uniform(0.2, 0.5)))
+        texts.append(random_maze_text(rng, rng.randint(2, 7), rng.randint(2, 7), 0.0))
+    texts += [_serpentine(rng.randint(2, 9), rng.randint(1, 9)) for _ in range(20)]
+    while len(texts) < 130:
+        size = rng.randint(4, 6)
+        text = random_push_text(rng, size, size)
+        if text is not None:
+            texts.append(text)
+    solved = 0
+    for text in texts:
+        env = Environment.from_text(text)
+        result = solve(StateSpace(env))
+        first = enumerate_solutions(StateSpace(env), 1)
+        if isinstance(result, NoSolution):
+            assert first == []
+        else:
+            assert [result.path] == [sol.path for sol in first]
+            solved += 1
+    assert 0 < solved < len(texts)
+
+
+def test_solve_names_only_path_states_in_open_room():
+    space = StateSpace(Environment.from_text(_open_room(16)))
+    result = solve(space)
+    assert len(result.path) == 31
+    assert len(space.graph) == len(result.path) + 1  # path states + solution
+
+
+def test_solve_names_only_path_states_in_push_puzzle():
+    rows = [["."] * 16 for _ in range(16)]
+    rows[5][3], rows[5][4], rows[5][6], rows[5][7] = "S", "B", "G", "T"
+    space = StateSpace(Environment.from_text("\n".join(map("".join, rows)) + "\n"))
+    result = solve(space)
+    assert result.moves == ["E", "E", "E"]
+    assert len(space.graph) == len(result.path) + 1
+
+
+def test_full_build_keeps_names_given_during_search():
+    space = StateSpace(Environment.from_text("S..\n.#.\n..G\n"))
+    result = solve(space)
+    named = {s: space.node_of[s] for s in result.path}
+    assert len(space.states) == 8
+    assert all(space.node_of[s] == n for s, n in named.items())
+    assert set(space.state_of) == set(space.node_of.values())
+    assert len(space.view().states) == 8
+
+
+def test_enumeration_names_states_in_breadth_first_order():
+    # the full build names every state before Yen's search runs, so node ids,
+    # the order of equal-length routes and the trace do not depend on which
+    # states a search met first
+    space = StateSpace(Environment.from_text("S..\n.#.\n..G\n#.#\n"))
+    trace = TraceRecorder()
+    solutions = enumerate_solutions(space, trace=trace)
+    assert [space.node_of[s] for s in space.states] == list(range(9))
+    assert [sol.moves for sol in solutions] == [list("EESS"), list("SSEE")]
+    assert [r.to_line() for r in trace.records] == [
+        "0\tinhibit\tstate:1,3\t0",
+        "1\tcreate_node\tsolution:9\t0",
+        "2\tsolution\tE.E.S.S\t0",
+        "3\tcreate_node\tsolution:10\t0",
+        "4\tsolution\tS.S.E.E\t0",
+    ]
+
+
+@pytest.fixture
+def small_state_budget(monkeypatch):
+    monkeypatch.setattr("gridmind.solver.MAX_STATES", 20)
+
+
+def test_state_budget_bounds_search(small_state_budget):
+    # the search steps from 24 states of a 5 x 5 room before it meets the goal
+    assert isinstance(solve(StateSpace(Environment.from_text("S.G\n"))), Solution)
+    room = Environment.from_text(_open_room(5))
+    with pytest.raises(InvalidEnvError, match="20 states"):
+        solve(StateSpace(room))
+    with pytest.raises(InvalidEnvError, match="20 states"):
+        enumerate_solutions(StateSpace(room), 1)
+    with pytest.raises(InvalidEnvError, match="20 states"):
+        StateSpace(room).view()
+
+
+def test_state_budget_boundary(small_state_budget):
+    corridor = StateSpace(Environment.from_text("S" + "." * 18 + "G\n"))
+    assert len(corridor.states) == 20
+    assert len(enumerate_solutions(corridor)) == 1
+    with pytest.raises(InvalidEnvError):
+        StateSpace(Environment.from_text("S" + "." * 19 + "G\n")).states
+
+
+def test_state_budget_fits_largest_maze():
+    assert len(solve(StateSpace(Environment.from_text(_open_room(256)))).moves) == 510
