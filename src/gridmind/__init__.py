@@ -10,7 +10,6 @@ from .graph import (
     ArityError,
     ConceptGraph,
     ConceptNode,
-    CycleError,
     GraphError,
     NodeKind,
     ParseError,

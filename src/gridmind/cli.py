@@ -8,6 +8,7 @@ no explanation, 2 input or parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -163,7 +164,9 @@ def _cmd_graph(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `gridmind` parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="gridmind", description="concept-graph reasoning engine"
     )

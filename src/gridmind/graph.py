@@ -11,11 +11,18 @@ same links as sorted pairs.
 
 Roles are (dx, dy) integer offsets of the child's anchor inside the
 parent's frame; ordinal positions (state sequences) are encoded as (i, 0).
+A node's children are stored as one sorted list of distinct (child, role)
+pairs, and that tuple is the node's key in the composite index, on every
+path into the graph: `create_composite` builds it so, and so does import.
 
 In the `CGRAPH 1` text format a record is whitespace-separated fields,
 and a node's label is the rest of its `N` line: bare when it is non-empty
 and has no whitespace and no double quote, otherwise double-quoted with
-the escapes listed at `_ESCAPES`.
+the escapes listed at `_ESCAPES`. `import_text` reads a file in one pass:
+it reads every record, checks that each `C` record joins known nodes,
+groups the links per parent, and orders the distinct parent -> child pairs
+once with Kahn's algorithm, so a cycle is a `ParseError` that names the
+line of a link on it.
 """
 
 from __future__ import annotations
@@ -38,10 +45,6 @@ class NodeKind(Enum):
 
 
 class GraphError(Exception):
-    pass
-
-
-class CycleError(GraphError):
     pass
 
 
@@ -116,10 +119,6 @@ class ConceptGraph:
             raise ValueError("scale must be positive")
         return self._new_node(kind, label, scale)
 
-    @staticmethod
-    def _composite_key(children: list[tuple[int, Role]]) -> tuple:
-        return tuple(sorted((c, r[0], r[1]) for c, r in children))
-
     def create_composite(
         self,
         children: list[tuple[int, Role]],
@@ -131,7 +130,7 @@ class ConceptGraph:
             raise ArityError(f"composite needs >= 2 children, got {len(children)}")
         for child, _role in children:
             self.node(child)
-        key = self._composite_key(children)
+        key = tuple(children)
         existing = self._composite_index.get(key)
         if existing is not None:
             return existing
@@ -143,14 +142,6 @@ class ConceptGraph:
             self._parents[child].add(node_id)
         self._composite_index[key] = node_id
         return node_id
-
-    def _link(self, parent: int, child: int, role: Role) -> None:
-        if parent == child or parent in self.descendants(child):
-            raise CycleError(f"link {parent}->{child} would close a cycle")
-        entry = (child, role)
-        if entry not in self._children[parent]:
-            self._children[parent].append(entry)
-            self._parents[child].add(parent)
 
     # -- associations ------------------------------------------------------
 
@@ -228,7 +219,7 @@ class ConceptGraph:
         return {d for d in desc if self._parents[d] <= closure}
 
     def find_composite(self, children: list[tuple[int, Role]]) -> int | None:
-        return self._composite_index.get(self._composite_key(children))
+        return self._composite_index.get(tuple(sorted(set(children))))
 
     # -- persistence -------------------------------------------------------
 
@@ -237,12 +228,8 @@ class ConceptGraph:
         for node_id in sorted(self.nodes):
             n = self.nodes[node_id]
             lines.append(f"N {n.id} {n.kind.value} {n.scale} {_quote(n.label)}")
-        comp = []
-        for parent in sorted(self._children):
-            for child, (dx, dy) in self._children[parent]:
-                comp.append((parent, child, dx, dy))
-        for parent, child, dx, dy in sorted(comp):
-            lines.append(f"C {parent} {child} {dx} {dy}")
+        for parent, children in self._children.items():  # in id order, children sorted
+            lines += [f"C {parent} {child} {dx} {dy}" for child, (dx, dy) in children]
         for (a, b) in sorted(self.excitatory):
             lines.append(f"E {a} {b} {self.excitatory[(a, b)]}")
         for (a, b) in sorted(self.mutex):
@@ -267,12 +254,23 @@ class ConceptGraph:
 
     @classmethod
     def import_text(cls, text: str) -> "ConceptGraph":
+        """Parse a `CGRAPH 1` text in one pass and build the graph that
+        `create_composite` would have built.
+
+        Every record is read first. Then each `C` record must join two
+        declared nodes (checked in file order), each parent's links are
+        stored as one sorted list of distinct (child, role) pairs, and one
+        Kahn pass orders the distinct parent -> child pairs. A node left
+        unordered lies on or below a cycle; the `ParseError` then names the
+        line of a link on the cycle. Any malformed record is a `ParseError`
+        naming its line.
+        """
         lines = text.splitlines()
         if not lines or lines[0].strip() != "CGRAPH 1":
             raise ParseError(1, "missing 'CGRAPH 1' header")
         g = cls()
         kinds = {k.value: k for k in NodeKind}
-        pending_links: list[tuple[int, int, int, int, int]] = []
+        links: list[tuple[int, int, int, Role]] = []  # line, parent, child, role
         for line_no, raw in enumerate(lines[1:], start=2):
             line = raw.strip()
             if not line:
@@ -280,7 +278,10 @@ class ConceptGraph:
             fields = line.split(None, 4)  # an N record's label is the rest of the line
             tag = fields[0]
             try:
-                if tag == "N":
+                if tag == "C":
+                    _, p, c, dx, dy = fields
+                    links.append((line_no, int(p), int(c), (int(dx), int(dy))))
+                elif tag == "N":
                     _, sid, kind_name, sscale, quoted = fields
                     label = _unquote(quoted)
                     node_id, scale = int(sid), int(sscale)
@@ -291,9 +292,6 @@ class ConceptGraph:
                     if node_id != len(g.nodes):
                         raise ParseError(line_no, f"node ids must be dense, got {node_id}")
                     g._new_node(kinds[kind_name], label, scale)
-                elif tag == "C":
-                    _, p, c, dx, dy = fields
-                    pending_links.append((line_no, int(p), int(c), int(dx), int(dy)))
                 elif tag == "E":
                     _, a, b, w = fields
                     ia, ib, iw = int(a), int(b), int(w)
@@ -316,17 +314,40 @@ class ConceptGraph:
                 raise
             except (ValueError, IndexError) as exc:
                 raise ParseError(line_no, f"malformed record: {exc}") from None
-        for line_no, parent, child, dx, dy in pending_links:
-            if parent not in g.nodes or child not in g.nodes:
+        children, parents = g._children, g._parents
+        for line_no, parent, child, role in links:
+            if parent not in children or child not in children:
                 raise ParseError(line_no, f"composition link to unknown node {parent}->{child}")
-            try:
-                g._link(parent, child, (dx, dy))
-            except CycleError as exc:
-                raise ParseError(line_no, str(exc)) from None
-        for node_id, entries in g._children.items():
+            children[parent].append((child, role))
+        for parent, entries in children.items():
             if entries:
-                g._composite_index.setdefault(g._composite_key(entries), node_id)
+                entries[:] = sorted(set(entries))  # as create_composite stores them
+                g._composite_index.setdefault(tuple(entries), parent)
+                for child, _role in entries:
+                    parents[child].add(parent)
+        g._check_acyclic(links)
         return g
+
+    def _check_acyclic(self, links: list[tuple[int, int, int, Role]]) -> None:
+        """Kahn's algorithm over the distinct parent -> child pairs: a node
+        is ordered once all its parents are. If some are left, each of them
+        has a parent left, so walking up from one reaches a node twice."""
+        waiting = {n: len(parents) for n, parents in self._parents.items()}
+        ready = [n for n, count in waiting.items() if count == 0]
+        while ready:
+            for child in {c for c, _role in self._children[ready.pop()]}:
+                waiting[child] -= 1
+                if waiting[child] == 0:
+                    ready.append(child)
+        left = [n for n, count in waiting.items() if count]
+        if not left:
+            return
+        child, parent, walked = None, left[0], set()
+        while parent not in walked:
+            walked.add(parent)
+            child, parent = parent, min(p for p in self._parents[parent] if waiting[p])
+        line_no = next(ln for ln, p, c, _role in links if (p, c) == (parent, child))
+        raise ParseError(line_no, f"composition link {parent}->{child} closes a cycle")
 
     def structurally_equals(self, other: "ConceptGraph") -> bool:
         return self.export_text() == other.export_text()

@@ -300,6 +300,14 @@ def find_transformation(before: Grid, after: Grid) -> Transformation:
 # -- the learner -----------------------------------------------------------
 
 
+def _ranks(scores: dict) -> dict:
+    """Each key -> the rank of its score among the distinct score values,
+    best first, so that equal values such as 1/2 and 2/4 share a rank and a
+    sort on ranks compares integers, not Fractions."""
+    order = {s: i for i, s in enumerate(sorted(set(scores.values()), reverse=True))}
+    return {key: order[s] for key, s in scores.items()}
+
+
 class Learner:
     """Owns the bottom-up/top-down learning loops over a concept graph."""
 
@@ -372,7 +380,21 @@ class Learner:
 
     def _expand(self, root: int) -> dict[Coord, str]:
         """Cells of `root` in its own frame, expanding each node once and
-        stopping at the first node wider or taller than `MAX_DIM`."""
+        stopping at the first node wider or taller than `MAX_DIM`. A child's
+        expansion is dropped as soon as its last parent below `root` is built,
+        so memory follows the widest few nodes, not the number of nodes."""
+        self.graph.node(root)
+        graph_children = self.graph._children
+        # how many distinct parents below root still need each node
+        needed = {root: 0}
+        stack = [root]
+        while stack:
+            for child in {c for c, _ in graph_children[stack.pop()]}:
+                if child in needed:
+                    needed[child] += 1
+                else:
+                    needed[child] = 1
+                    stack.append(child)
         memo: dict[int, dict[Coord, str]] = {}
         stack = [root]
         while stack:
@@ -380,13 +402,13 @@ class Learner:
             if node_id in memo:
                 stack.pop()
                 continue
-            node = self.graph.node(node_id)
-            if node.kind is NodeKind.PRIMITIVE:
-                if not node.label.startswith(PRIMITIVE_PREFIX):
-                    raise LearningError(f"node {node_id} is not a grid primitive")
+            node = self.graph.nodes[node_id]
+            children = graph_children[node_id]
+            if node.kind is NodeKind.PRIMITIVE or not children:
+                if node.kind is not NodeKind.PRIMITIVE or not node.label.startswith(PRIMITIVE_PREFIX):
+                    raise LearningError(f"node {node_id} is not a grid concept")
                 memo[node_id] = {(0, 0): node.label[len(PRIMITIVE_PREFIX):]}
                 continue
-            children = self.graph._children[node_id]
             pending = [c for c, _ in children if c not in memo]
             if pending:
                 stack.extend(reversed(pending))
@@ -396,9 +418,13 @@ class Learner:
                 for (x, y), s in memo[child].items():
                     cells[(x + dx, y + dy)] = s
             xs, ys = {x for x, _ in cells}, {y for _, y in cells}
-            if cells and (max(xs) - min(xs) >= MAX_DIM or max(ys) - min(ys) >= MAX_DIM):
+            if max(xs) - min(xs) >= MAX_DIM or max(ys) - min(ys) >= MAX_DIM:
                 raise GridError(f"node {node_id} does not fit in {MAX_DIM}x{MAX_DIM} cells")
             memo[node_id] = cells
+            for child in {c for c, _ in children}:
+                needed[child] -= 1
+                if not needed[child]:
+                    del memo[child]
         return memo[root]
 
     def reconstruct(self, root: int, sessions: SessionStack | None = None) -> Grid:
@@ -424,7 +450,7 @@ class Learner:
                 anchors.setdefault(node_id, []).append(feat.anchor)
         nodes, children = self.graph.nodes, self.graph._children
         candidates = set(anchors).union(*(self.graph._parents[n] for n in anchors))
-        matches = []
+        found = []  # ((hits, parts), concept, anchor)
         for node_id in candidates:
             if nodes[node_id].kind is not NodeKind.COMPOSITE:
                 continue
@@ -432,7 +458,7 @@ class Learner:
                 continue
             if node_id in anchors:
                 anchor = min(anchors[node_id], key=lambda a: (a[1], a[0]))
-                matches.append(RecognitionMatch(node_id, anchor, Fraction(1)))
+                found.append(((1, 1), node_id, anchor))
                 continue
             votes: dict[Coord, int] = {}
             for child, (dx, dy) in children[node_id]:
@@ -440,11 +466,12 @@ class Learner:
                     a = (ax - dx, ay - dy)
                     votes[a] = votes.get(a, 0) + 1
             anchor, hits = max(votes.items(), key=lambda e: (e[1], -e[0][1], -e[0][0]))
-            matches.append(RecognitionMatch(node_id, anchor, Fraction(hits, len(children[node_id]))))
-        # best score first, then larger scale, then lower id; the score sort is stable
-        matches.sort(key=lambda m: (-nodes[m.concept].scale, m.concept))
-        matches.sort(key=lambda m: m.score, reverse=True)
-        return matches
+            found.append(((hits, len(children[node_id])), node_id, anchor))
+        scores = {hp: Fraction(*hp) for hp in {hp for hp, _, _ in found}}
+        rank = _ranks(scores)
+        # best score first, then larger scale, then lower id
+        found.sort(key=lambda e: (rank[e[0]], -nodes[e[1]].scale, e[1]))
+        return [RecognitionMatch(node_id, anchor, scores[hp]) for hp, node_id, anchor in found]
 
     def match_under_transformations(
         self, g: Grid
@@ -474,9 +501,13 @@ class Learner:
             pre = t.inverse_apply(g)
             if pre is not None:
                 results += [(m, t) for m in self.recognize(pre)]
-        results.sort(
-            key=lambda e: (-e[0].score, -self.graph.nodes[e[0].concept].scale, e[0].concept)
-        )
+
+        def ratio(entry):
+            return entry[0].score.numerator, entry[0].score.denominator
+
+        rank = _ranks({ratio(e): e[0].score for e in results})
+        nodes = self.graph.nodes
+        results.sort(key=lambda e: (rank[ratio(e)], -nodes[e[0].concept].scale, e[0].concept))
         return results
 
     # transformations as concepts

@@ -358,6 +358,28 @@ def legacy_quote(label: str) -> str:
     return label
 
 
+def links_on_cycles(pairs) -> set[tuple[int, int]]:
+    """The distinct (parent, child) composition links that lie on a cycle,
+    from the raw pairs alone: a link is on a cycle when a depth-first walk
+    from its child reaches its parent (a self-link reaches it at once)."""
+    below: dict[int, set[int]] = {}
+    for parent, child in pairs:
+        below.setdefault(parent, set()).add(child)
+
+    def reaches(start: int, target: int) -> bool:
+        seen, stack = set(), [start]
+        while stack:
+            n = stack.pop()
+            if n == target:
+                return True
+            if n not in seen:
+                seen.add(n)
+                stack.extend(below.get(n, ()))
+        return False
+
+    return {(p, c) for p, c in set(pairs) if reaches(c, p)}
+
+
 # -- misc ------------------------------------------------------------------
 
 

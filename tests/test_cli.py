@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import os
 import subprocess
 import sys
 import tempfile
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridmind import Environment, StateSpace, solve
 from gridmind.cli import main
 
 RING = "xxx\nx.x\nxxx\n"
@@ -108,6 +110,27 @@ def test_show_doubling_chain_stops_at_max_dim(capsys, tmp_path):
     assert (code, out) == (2, "")
     assert err.startswith("error: ")
     assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize(
+    "record", ["N 0 State 1 s", "N 0 Primitive 1 action:go", 'N 0 Composite 1 ""']
+)
+def test_show_non_grid_node_is_input_error(capsys, tmp_path, record):
+    graph = tmp_path / "node.cg"
+    graph.write_text(f"CGRAPH 1\n{record}\n")
+    code, out, err = run(capsys, "show", "0", "--graph", str(graph))
+    assert (code, out, err) == (2, "", "error: node 0 is not a grid concept\n")
+
+
+def test_show_solution_concept_is_input_error(capsys, tmp_path):
+    space = StateSpace(Environment.from_text("S.G\n"))
+    concept = solve(space).concept
+    graph = tmp_path / "solution.cg"
+    space.graph.export_file(graph)
+    assert f"N {concept} SolutionConcept " in graph.read_text()
+    code, out, err = run(capsys, "show", str(concept), "--graph", str(graph))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: node ") and err.endswith(" is not a grid concept\n")
 
 
 def test_recognize_known_and_unknown(capsys, ring_file, tmp_path):
@@ -367,6 +390,56 @@ def test_exit_code_contract_on_arbitrary_files(pattern, env, graph):
                 code = main([a.format(**paths) for a in argv])
             assert code in (0, 1, 2), argv
             assert "Traceback" not in err.getvalue()
+
+
+# Every token is a subcommand, a flag, a number, some text, or the name of
+# a file or directory in the run's own directory, which is the working
+# directory while `main` runs, so no argument vector can reach another path.
+SUBCOMMANDS = ["learn", "show", "recognize", "explain", "solve", "graph"]
+ARGV_TOKENS = SUBCOMMANDS + [
+    "import", "export", "--graph", "--enumerate", "--forbid", "--trace", "-h", "--bogus",
+    "0", "1", "3", "-1", "99999999999999999999", "1,1", "0,2", "x,y", "1,", "",
+    "text", "a b", "-", "ring.txt", "maze.env", "kb.cg", "state.cg", "bad.cg",
+    "binary", "absent.cg", "sub", "out.cg",
+]
+RUN_FILES = {
+    "ring.txt": RING.encode(),
+    "maze.env": b"S..\n.#.\n..G\n",
+    "state.cg": b"CGRAPH 1\nN 0 State 1 s\n",
+    "bad.cg": b"CGRAPH 1\nN 0 Composite 1 a\nC 0 0 0 0\n",
+    "binary": b"\xff\xfe\x00abc",
+}
+ARGVS = st.one_of(
+    st.lists(st.sampled_from(ARGV_TOKENS), max_size=6),
+    st.builds(lambda cmd, rest: [cmd, *rest], st.sampled_from(SUBCOMMANDS),
+              st.lists(st.sampled_from(ARGV_TOKENS), max_size=5)),
+)
+
+
+@given(argv=ARGVS)
+@settings(max_examples=150, deadline=None)
+def test_exit_code_contract_on_arbitrary_argv(argv):
+    """Whatever the arguments, `main` exits 0, 1 or 2 (argparse's own exits
+    included) and prints no traceback."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for name, data in RUN_FILES.items():
+                Path(name).write_bytes(data)
+            Path("sub").mkdir()
+            with contextlib.redirect_stdout(io.StringIO()):
+                main(["learn", "ring.txt", "--graph", "kb.cg"])
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()
 
 
 def test_graph_import_rejects_garbage(capsys, tmp_path):

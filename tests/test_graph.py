@@ -10,12 +10,11 @@ from hypothesis import strategies as st
 from gridmind import (
     ArityError,
     ConceptGraph,
-    CycleError,
     NodeKind,
     ParseError,
     SelfMutexError,
 )
-from oracles import legacy_quote
+from oracles import legacy_quote, links_on_cycles
 
 
 def test_first_primitive_gets_id_zero():
@@ -73,15 +72,6 @@ def test_cycle_rejected_on_import():
     )
     with pytest.raises(ParseError):
         ConceptGraph.import_text(text)
-
-
-def test_internal_link_cycle_guard():
-    g = ConceptGraph()
-    a = g.create_primitive("a")
-    b = g.create_primitive("b")
-    c = g.create_composite([(a, (0, 0)), (b, (1, 0))])
-    with pytest.raises(CycleError):
-        g._link(a, c, (0, 0))
 
 
 def test_mutex_symmetric_and_idempotent():
@@ -192,6 +182,88 @@ def test_dangling_child_is_parse_error():
     with pytest.raises(ParseError) as exc:
         ConceptGraph.import_text(text)
     assert "line 3" in str(exc.value)
+
+
+def _link_records(rng: random.Random, n: int, back_edges: int, self_links: int) -> list[tuple]:
+    """Random composition links among n nodes: each goes down a random
+    order of the nodes, plus the given number of links that go up it or
+    join a node to itself; some records are repeated, with or without a
+    new role."""
+    order = rng.sample(range(n), n)
+    pairs = [tuple(rng.sample(order, 2)) for _ in range(rng.randint(0, 3 * n))]
+    links = [(p, c) if order.index(p) < order.index(c) else (c, p) for p, c in pairs]
+    links += [tuple(rng.sample(order, 2)) for _ in range(back_edges)]
+    links += [(x, x) for x in rng.sample(order, self_links)]
+    records = [(p, c, rng.randint(-2, 2), rng.randint(-2, 2)) for p, c in links]
+    records += [rng.choice(records)[:2] + (rng.randint(-2, 2), 0) for _ in range(len(records) // 3)]
+    records += rng.sample(records, len(records) // 4)
+    rng.shuffle(records)
+    return records
+
+
+def test_import_rejects_exactly_the_cyclic_link_sets_random():
+    rng = random.Random(29)
+    rejected = 0
+    for case in range(400):
+        n = rng.randint(2, 12)
+        back_edges = rng.randint(0, 2) if case % 2 else 0
+        self_links = rng.randint(0, 1) if case % 3 == 0 else 0
+        records = _link_records(rng, n, back_edges, self_links)
+        lines = ["CGRAPH 1"] + [f'N {i} Composite 1 ""' for i in range(n)]
+        lines += [f"C {p} {c} {dx} {dy}" for p, c, dx, dy in records]
+        on_cycles = links_on_cycles([(p, c) for p, c, _, _ in records])
+        if not on_cycles:
+            g = ConceptGraph.import_text("\n".join(lines) + "\n")
+            for i in range(n):
+                placed = {(c, (dx, dy)) for p, c, dx, dy in records if p == i}
+                assert g.children_of(i) == sorted(placed)
+                assert g.parents_of(i) == {p for p, c, _, _ in records if c == i}
+            continue
+        rejected += 1
+        with pytest.raises(ParseError) as exc:
+            ConceptGraph.import_text("\n".join(lines) + "\n")
+        _, parent, child, _, _ = lines[exc.value.line_no - 1].split()
+        assert (int(parent), int(child)) in on_cycles
+    assert 100 < rejected < 300
+
+
+def test_unsorted_duplicated_records_import_as_create_composite_builds():
+    rng = random.Random(31)
+    for _ in range(30):
+        g = _random_graph(rng, max_nodes=40)
+        text = g.export_text()
+        records = text.splitlines()[1:]
+        links = [r for r in records if r.startswith("C ")]
+        rest = [r for r in records if r[0] in "EMC"] + rng.sample(links, len(links) // 3)
+        rng.shuffle(rest)
+        nodes = [r for r in records if r.startswith("N ")]
+        g2 = ConceptGraph.import_text("\n".join(["CGRAPH 1", *nodes, *rest]) + "\n")
+        assert g2.export_text() == text
+        for n in g.node_ids():
+            children = g.children_of(n)
+            assert g2.children_of(n) == children
+            if children:
+                placed = children + rng.sample(children, len(children) // 2)
+                rng.shuffle(placed)
+                assert g2.find_composite(placed) == g.find_composite(placed) == n
+
+
+def test_deep_chain_imports_and_exports_byte_identically(monkeypatch):
+    # 20,000 levels: node i places node i-1 and the primitive; a walk per
+    # link would make this quadratic, so import may not walk at all
+    g = ConceptGraph()
+    prim = node = g.create_primitive("cell:x")
+    for _ in range(20_000):
+        node = g.create_composite([(node, (0, 0)), (prim, (1, 0))])
+    text = g.export_text()
+
+    def no_walks(self, n):
+        raise AssertionError("import walked the graph")
+
+    monkeypatch.setattr(ConceptGraph, "descendants", no_walks)
+    g2 = ConceptGraph.import_text(text)
+    assert g2.export_text() == text
+    assert g2.find_composite([(prim, (1, 0)), (node - 1, (0, 0))]) == node
 
 
 def test_labels_with_spaces_round_trip():

@@ -2,6 +2,7 @@
 transformations, discrepancy and imagination."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -126,6 +127,26 @@ def test_reconstruct_inhibited_root_rejected():
         learner.reconstruct(root, s)
 
 
+def test_reconstruct_frees_expansions_of_built_children():
+    # a 64x64 block, then 60 nodes that each place the one below and one
+    # more cell; keeping every expansion until the end peaked at 22 MB
+    g = ConceptGraph()
+    cell = g.create_primitive("cell:x")
+    row = g.create_composite([(cell, (x, 0)) for x in range(64)])
+    top = g.create_composite([(row, (0, y)) for y in range(64)])
+    for i in range(60):
+        top = g.create_composite([(top, (0, 0)), (cell, (i, 64))])
+    learner = Learner(g)
+    tracemalloc.start()
+    try:
+        grid = learner.reconstruct(top)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(grid.cells) == 64 * 64 + 60
+    assert peak < 4 * 2**20
+
+
 # -- recognition -----------------------------------------------------------
 
 FOUR_BARS = "aaa.bbb\n.......\nccc.ddd\n"
@@ -147,6 +168,24 @@ def test_recognize_missing_feature_scores_three_quarters():
     partial = Grid.from_text("aaa.bbb\n.......\nccc....\n")
     match = next(m for m in learner.recognize(partial) if m.concept == root)
     assert match.score == Fraction(3, 4)
+
+
+def test_recognize_equal_scores_share_a_rank():
+    # the probe scores 1/2 for `half` and 2/4 for `quarters`: equal, so the
+    # larger scale (half's) comes first although (1, 2) < (2, 4)
+    g = ConceptGraph()
+    x = g.create_primitive("cell:x")
+    heavy = g.create_primitive("cell:h", 10)
+    y, z = g.create_primitive("cell:y"), g.create_primitive("cell:z")
+    quarters = g.create_composite([(x, (0, 0)), (x, (2, 0)), (y, (5, 0)), (z, (7, 0))])
+    half = g.create_composite([(x, (0, 0)), (heavy, (5, 0))])
+    learner = Learner(g)
+    matches = learner.recognize(Grid.from_text("x.x\n"))
+    assert [(m.concept, m.score) for m in matches] == [
+        (half, Fraction(1, 2)), (quarters, Fraction(1, 2))
+    ]
+    ranked = [m.concept for m, _ in learner.match_under_transformations(Grid.from_text("x.x\n"))]
+    assert ranked == sorted(ranked, key=[half, quarters].index)
 
 
 def test_recognize_unknown_pattern_returns_nothing():
