@@ -15,15 +15,18 @@ Trying to inhibit an Active node raises ConflictError, which is the signal
 to backtrack and look for an alternative set of assumptions.
 
 `propagate` runs one FIFO worklist. It is seeded with every inhibited
-node, every Active node and, given a view, every view state, so each call
-computes the whole closure, whatever `inhibit`, `set_active` or graph
-growth happened since the last call. A popped Active node inhibits its
-mutex partners; a popped inhibited node is expanded once: it inhibits
-and enqueues its parents (A), each child whose parents are now all
-expanded (B) and each view predecessor whose successors are now all
-expanded (C). B and C keep a per-node count of the parents or successors
-not yet expanded, so a call costs the seeds plus what they reach and
-their links, not repeated sweeps over the whole graph.
+node, every Active node and, given a view, every non-target view state
+with no transitions, so each call computes the whole closure, whatever
+`inhibit`, `set_active` or graph growth happened since the last call. A
+view state with transitions needs no seed: it can fall only when its last
+successor is expanded, and the successor count below catches that. A
+popped Active node inhibits its mutex partners; a popped inhibited node
+is expanded once: it inhibits and enqueues its parents (A), each child
+whose parents are now all expanded (B) and each view predecessor whose
+successors are now all expanded (C). B and C keep a per-node count of
+the parents or successors not yet expanded, so a call costs the seeds
+plus what they reach and their links, not repeated sweeps over the whole
+graph.
 """
 
 from __future__ import annotations
@@ -148,14 +151,17 @@ class SessionStack:
         inhibited = self._inhibited
         active = self._active
         seeds = set(inhibited) | active
-        rule_c_states: set[int] = set()
+        dead_ends: set[int] = set()
         preds: dict[int, list[int]] = {}
         if state_view is not None:
-            seeds |= state_view.states
-            rule_c_states = state_view.states - state_view.targets
-            for s in rule_c_states:
-                for t in state_view.transitions.get(s, []):
+            for s in state_view.states - state_view.targets:
+                succs = state_view.transitions.get(s)
+                if not succs:
+                    dead_ends.add(s)
+                    continue
+                for t in succs:
                     preds.setdefault(t, []).append(s)
+            seeds |= dead_ends
         if worklist_order is None:
             queue = deque(sorted(seeds))
         else:
@@ -184,10 +190,9 @@ class SessionStack:
                     if partner not in inhibited:
                         derive(partner)
             if n not in inhibited:
-                # only a seeded view state can still fall to rule C here
-                if n not in rule_c_states or not all(
-                    t in inhibited for t in state_view.transitions.get(n, [])
-                ):
+                # only a seeded view state without transitions falls to rule C
+                # here; any other falls when its last successor is expanded
+                if n not in dead_ends:
                     continue
                 self._derive(n, derived)
             elif n in expanded:

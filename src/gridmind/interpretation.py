@@ -6,6 +6,12 @@ detected children, and mutex propagation may suppress competing features.
 Every maximal consistent cover is returned; features no composite can ever
 cover come back as a distinguished novel-residue explanation, which is the
 trigger for learning something new.
+
+An explanation needs no maximality test. It is a choice that accounts for
+every feature it leaves uncovered, so each such feature that some
+composite covers is inhibited. Any composite that could still join covers
+one of those features, and activating it would conflict, because
+propagation is monotone. So no explanation is contained in another.
 """
 
 from __future__ import annotations
@@ -53,7 +59,7 @@ def explain_features(
     }
     unexplainable = features - set().union(*feats_of.values())
     entry_depth = sessions.depth
-    found: dict[frozenset[int], Explanation] = {}
+    maximal: list[Explanation] = []
 
     def branch(idx: int, chosen: list[int], covered: set[int]):
         extended = False
@@ -82,11 +88,11 @@ def explain_features(
             for n in marked:
                 sessions.clear_active(n)
             sessions.release_session()
-        if extended:
+        if extended or not chosen:
             return
-        # terminal: account for every feature
+        # terminal: account for every feature; a choice that does is
+        # maximal (see the module docstring)
         suppressed = set()
-        ok = True
         for f in features - covered:
             if f in unexplainable:
                 continue
@@ -95,30 +101,19 @@ def explain_features(
             ):
                 suppressed.add(f)
             else:
-                ok = False
-                break
-        if ok and chosen:
-            key = frozenset(chosen)
-            found.setdefault(
-                key,
-                Explanation(
-                    key,
-                    frozenset(covered),
-                    frozenset(suppressed),
-                    frozenset(unexplainable),
-                ),
+                return
+        maximal.append(
+            Explanation(
+                frozenset(chosen),
+                frozenset(covered),
+                frozenset(suppressed),
+                frozenset(unexplainable),
             )
+        )
 
     branch(0, [], set())
     while sessions.depth > entry_depth:
         sessions.release_session()
-
-    explanations = list(found.values())
-    maximal = [
-        e
-        for e in explanations
-        if not any(e is not o and e.chosen < o.chosen for o in explanations)
-    ]
     maximal.sort(key=lambda e: (-len(e.covered), sorted(e.chosen)))
     covered_anywhere = set().union(*(e.covered for e in maximal)) if maximal else set()
     suppressed_anywhere = (

@@ -22,6 +22,8 @@ Coord = tuple[int, int]
 PRIMITIVE_PREFIX = "cell:"
 ACTION_PREFIX = "action:"
 TRANSFORM_PREFIX = "tf:"
+# the kinds `reconstruct` descends through; any other node is not a grid
+_GRID_KINDS = (NodeKind.PRIMITIVE, NodeKind.COMPOSITE)
 
 
 class LearningError(Exception):
@@ -380,16 +382,22 @@ class Learner:
 
     def _expand(self, root: int) -> dict[Coord, str]:
         """Cells of `root` in its own frame, expanding each node once and
-        stopping at the first node wider or taller than `MAX_DIM`. A child's
-        expansion is dropped as soon as its last parent below `root` is built,
-        so memory follows the widest few nodes, not the number of nodes."""
+        stopping at the first node wider or taller than `MAX_DIM`. A node
+        that is neither a primitive nor a composite is rejected before the
+        walk descends below it, so the error names the node asked for. A
+        child's expansion is dropped as soon as its last parent below `root`
+        is built, so memory follows the widest few nodes, not the number of
+        nodes."""
         self.graph.node(root)
-        graph_children = self.graph._children
+        nodes, graph_children = self.graph.nodes, self.graph._children
         # how many distinct parents below root still need each node
         needed = {root: 0}
         stack = [root]
         while stack:
-            for child in {c for c, _ in graph_children[stack.pop()]}:
+            node_id = stack.pop()
+            if nodes[node_id].kind not in _GRID_KINDS:
+                raise LearningError(f"node {node_id} is not a grid concept")
+            for child in {c for c, _ in graph_children[node_id]}:
                 if child in needed:
                     needed[child] += 1
                 else:
@@ -402,7 +410,7 @@ class Learner:
             if node_id in memo:
                 stack.pop()
                 continue
-            node = self.graph.nodes[node_id]
+            node = nodes[node_id]
             children = graph_children[node_id]
             if node.kind is NodeKind.PRIMITIVE or not children:
                 if node.kind is not NodeKind.PRIMITIVE or not node.label.startswith(PRIMITIVE_PREFIX):

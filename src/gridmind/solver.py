@@ -2,7 +2,17 @@
 
 The state space is implicit: a search steps from the states it reaches
 and nothing else, and a state gets a concept node only when a path or an
-inhibition names it. The search is a breadth-first search with parent
+inhibition names it. Inside a `StateSpace` a state is one int: the agent's
+cell index `y * width + x` in a maze, `agent * (width * height) + box` in
+a push puzzle. A push-puzzle space keeps a table from a free cell to the
+cell one move away in each direction (or -1), filled one cell at a time
+the first time a search reaches the cell; a maze state is its own cell.
+Each state a search steps from keeps its successors as a list of ints.
+The searches, the memo, the state budget, deadlock pruning and the
+full build all run on these ints; `State` tuples are decoded only for the
+public boundary (`states`, `transitions`, `predecessors`, `targets`,
+`node_of`, `state_of` and `Solution.path`), and each state on a returned
+path is decoded and named once. The search is a breadth-first search with parent
 pointers that skips blocked states: those inhibited in the caller's
 sessions and, under constraints, those on a forbidden cell. Yen's
 algorithm (1971) runs it again from each branching point of the paths
@@ -19,11 +29,11 @@ alternative.
 from __future__ import annotations
 
 import heapq
-from collections import deque
+from collections.abc import Callable, Container, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from typing import Callable, Container, Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .graph import ConceptGraph, NodeKind
 from .grid import MAX_DIM
@@ -115,19 +125,6 @@ class Environment:
         )
 
 
-def step(env: Environment, state: State, delta: tuple[int, int]) -> Optional[State]:
-    ax, ay = state.agent
-    nxt = (ax + delta[0], ay + delta[1])
-    if not env.is_free(nxt):
-        return None
-    if state.box is not None and nxt == state.box:
-        beyond = (nxt[0] + delta[0], nxt[1] + delta[1])
-        if not env.is_free(beyond):
-            return None
-        return State(nxt, beyond)
-    return State(nxt, state.box)
-
-
 def moves_of(path: list[State]) -> list[str]:
     out = []
     for a, b in zip(path, path[1:]):
@@ -175,35 +172,121 @@ class TraceRecorder:
                 fh.write(rec.to_line() + "\n")
 
 
-def _state_label(state: State) -> str:
-    label = f"state:{state.agent[0]},{state.agent[1]}"
-    if state.box is not None:
-        label += f":{state.box[0]},{state.box[1]}"
-    return label
+class _Names:
+    """One environment's state codes, and the concept nodes of coded states.
+
+    A maze state is the agent's cell index `y * width + x`; a push-puzzle
+    state is `agent * (width * height) + box`. `node` maps a state to its
+    concept node and `code` maps the node back. This holds no reference to
+    the `StateSpace`, so `node_of` and `state_of` close no reference cycle
+    and a space is freed as soon as the last reference to it goes.
+    """
+
+    def __init__(self, env: Environment, graph: ConceptGraph):
+        self.env = env
+        self.graph = graph
+        # a state's agent cell is `state // per_agent`, its box cell the rest
+        self.per_agent = env.width * env.height if env.box is not None else 1
+        self.node: dict[int, int] = {}
+        self.code: dict[int, int] = {}
+
+    def cell(self, pos: tuple[int, int]) -> int:
+        """Index of the cell at `pos`, or -1 off the grid."""
+        x, y = pos
+        width = self.env.width
+        return y * width + x if 0 <= x < width and 0 <= y < self.env.height else -1
+
+    def encode(self, state: State) -> int:
+        if (state.box is None) != (self.env.box is None):
+            raise KeyError(state)
+        agent = self.cell(state.agent)
+        box = 0 if state.box is None else self.cell(state.box)
+        if agent < 0 or box < 0:
+            raise KeyError(state)
+        return agent * self.per_agent + box
+
+    def decode(self, code: int) -> State:
+        agent, box = divmod(code, self.per_agent)
+        width = self.env.width
+        if self.env.box is None:
+            return State((agent % width, agent // width))
+        return State((agent % width, agent // width), (box % width, box // width))
+
+    def label(self, code: int) -> str:
+        agent, box = divmod(code, self.per_agent)
+        width = self.env.width
+        label = f"state:{agent % width},{agent // width}"
+        if self.env.box is not None:
+            label += f":{box % width},{box // width}"
+        return label
+
+    def name(self, code: int) -> int:
+        """The concept node of a state, created on first use."""
+        node = self.node.get(code)
+        if node is None:
+            node = self.graph.create_atom(NodeKind.STATE, self.label(code))
+            self.node[code] = node
+            self.code[node] = code
+        return node
 
 
-class _NodeIndex(dict):
+class _NodeOf(Mapping):
     """State -> concept node; a state's node is created on its first lookup."""
 
-    def __init__(self, space: "StateSpace"):
-        super().__init__()
-        self._space = space
+    def __init__(self, names: _Names):
+        self._names = names
 
-    def __missing__(self, state: State) -> int:
-        node = self._space.graph.create_atom(NodeKind.STATE, _state_label(state))
-        self[state] = node
-        self._space.state_of[node] = state
-        return node
+    def __getitem__(self, state: State) -> int:
+        return self._names.name(self._names.encode(state))
+
+    def __contains__(self, state) -> bool:
+        try:
+            return self._names.encode(state) in self._names.node
+        except KeyError:
+            return False
+
+    def __iter__(self) -> Iterator[State]:
+        return map(self._names.decode, self._names.node)
+
+    def __len__(self) -> int:
+        return len(self._names.node)
+
+
+class _StateOf(Mapping):
+    """Concept node -> state, over the states that have a node."""
+
+    def __init__(self, names: _Names):
+        self._names = names
+
+    def __getitem__(self, node: int) -> State:
+        return self._names.decode(self._names.code[node])
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._names.code)
+
+    def __len__(self) -> int:
+        return len(self._names.code)
 
 
 class StateSpace:
     """The states reachable in an environment, stepped into on demand.
 
-    `successors` steps from one state and remembers the result; `node_of`
-    gives a state its concept node the first time it is looked up, and
-    `state_of` maps the node back. `states`, `transitions`, `predecessors`,
-    `targets` and `view()` build the whole reachable space once, on first
-    use, and give every state its node in breadth-first order.
+    Inside the space a state is one int, coded by `_names` (see `_Names`).
+    `_succ` maps each state a search has stepped from to the states one
+    move away, in `DIRECTIONS` order; `MAX_STATES` bounds its size. A push
+    puzzle's `_moves` is the cell table: for each free cell, the cell one
+    move away in each of the `DIRECTIONS`, or -1 where a wall or the border
+    blocks. A cell's row is filled the first time a search reaches the
+    cell, so a short search in a large room pays only for the cells it
+    touches, and every state with the agent on that cell reuses it. A maze
+    state is its agent's cell and is stepped from once, so its successor
+    list is its cell's row and a maze keeps no table.
+
+    `State` tuples appear only at the boundary. `node_of` gives a state its
+    concept node the first time it is looked up, and `state_of` maps the
+    node back. `states`, `transitions`, `predecessors`, `targets` and
+    `view()` build the whole reachable space once, on first use, and give
+    every state its node in breadth-first order.
     """
 
     def __init__(self, env: Environment, graph: ConceptGraph | None = None):
@@ -215,62 +298,121 @@ class StateSpace:
             raise InvalidEnvError("box or box target on a wall")
         self.env = env
         self.graph = graph if graph is not None else ConceptGraph()
-        self.goal_state = env.goal_state
-        self.node_of: dict[State, int] = _NodeIndex(self)
-        self.state_of: dict[int, State] = {}
-        self._successors: dict[State, list[State]] = {}
+        self._names = names = _Names(env, self.graph)
+        self._moves: list[Optional[tuple[int, int, int, int]]] = (
+            [None] * names.per_agent if env.box is not None else []
+        )
+        self._succ: dict[int, list[int]] = {}
+        self._start = names.encode(env.start_state)
+        self._goal = names.encode(env.goal_state)
+        self.node_of: Mapping[State, int] = _NodeOf(names)
+        self.state_of: Mapping[int, State] = _StateOf(names)
 
-    def successors(self, state: State) -> list[State]:
-        """States one move from `state`, in `DIRECTIONS` order, without repeats."""
-        succs = self._successors.get(state)
-        if succs is None:
-            if len(self._successors) >= MAX_STATES:
-                raise InvalidEnvError(f"the search space exceeds {MAX_STATES} states")
-            succs = []
-            for _, delta in DIRECTIONS:
-                nxt = step(self.env, state, delta)
-                if nxt is not None and nxt != state and nxt not in succs:
-                    succs.append(nxt)
-            self._successors[state] = succs
+    def _row(self, cell: int) -> tuple[int, int, int, int]:
+        """The cells one move from a free cell, in `DIRECTIONS` order (N, E,
+        S, W), with -1 where a wall or the border blocks the move."""
+        env = self.env
+        width, walls = env.width, env.walls
+        y, x = divmod(cell, width)
+        return (
+            cell - width if y > 0 and (x, y - 1) not in walls else -1,
+            cell + 1 if x + 1 < width and (x + 1, y) not in walls else -1,
+            cell + width if y + 1 < env.height and (x, y + 1) not in walls else -1,
+            cell - 1 if x > 0 and (x - 1, y) not in walls else -1,
+        )
+
+    def _expand(self, state: int) -> list[int]:
+        """Step from a state not yet in `_succ` and remember its successors."""
+        if len(self._succ) >= MAX_STATES:
+            raise InvalidEnvError(f"the search space exceeds {MAX_STATES} states")
+        if self.env.box is None:  # a maze state is its cell, stepped from once
+            succs = [cell for cell in self._row(state) if cell >= 0]
+        else:
+            per_agent, table = self._names.per_agent, self._moves
+            agent, box = divmod(state, per_agent)
+            moves = table[agent]
+            if moves is None:
+                moves = table[agent] = self._row(agent)
+            if box in moves:  # the agent stands beside the box
+                beyond = table[box]
+                if beyond is None:
+                    beyond = table[box] = self._row(box)
+                succs = [
+                    cell * per_agent + (pushed if cell == box else box)
+                    for cell, pushed in zip(moves, beyond)
+                    if cell >= 0 and (cell != box or pushed >= 0)
+                ]
+            else:
+                succs = [cell * per_agent + box for cell in moves if cell >= 0]
+        self._succ[state] = succs
         return succs
 
     @cached_property
-    def states(self) -> list[State]:
-        states = [self.env.start_state]
-        seen = set(states)
-        for cur in states:  # breadth-first: the list is the queue
-            for nxt in self.successors(cur):
+    def _order(self) -> list[int]:
+        """Every reachable state in breadth-first order, each one named."""
+        order = [self._start]
+        seen = {self._start}
+        memo, expand = self._succ, self._expand
+        for cur in order:  # the list is the queue
+            succs = memo.get(cur)
+            if succs is None:
+                succs = expand(cur)
+            for nxt in succs:
                 if nxt not in seen:
                     seen.add(nxt)
-                    states.append(nxt)
-        for s in states:
-            self.node_of[s]  # names every state, in breadth-first order
-        return states
+                    order.append(nxt)
+        named, name = self._names.node, self._names.name
+        for s in order:
+            if s not in named:
+                name(s)
+        return order
 
     @cached_property
-    def transitions(self) -> dict[State, list[State]]:
-        return {s: self.successors(s) for s in self.states}
+    def _state(self) -> dict[int, State]:
+        decode = self._names.decode
+        return {s: decode(s) for s in self._order}
 
     @cached_property
-    def predecessors(self) -> dict[State, list[State]]:
-        preds: dict[State, list[State]] = {s: [] for s in self.states}
-        for s in self.states:
-            for t in self.successors(s):
+    def _preds(self) -> dict[int, list[int]]:
+        preds: dict[int, list[int]] = {s: [] for s in self._order}
+        for s in self._order:
+            for t in self._succ[s]:
                 preds[t].append(s)
         return preds
 
     @cached_property
+    def _targets(self) -> list[int]:
+        """The goal state, if it is reachable."""
+        self._order  # the full build leaves exactly the reachable states in `_succ`
+        return [self._goal] if self._goal in self._succ else []
+
+    @cached_property
+    def states(self) -> list[State]:
+        return list(self._state.values())
+
+    @cached_property
+    def transitions(self) -> dict[State, list[State]]:
+        state = self._state
+        return {state[s]: [state[t] for t in self._succ[s]] for s in self._order}
+
+    @cached_property
+    def predecessors(self) -> dict[State, list[State]]:
+        state = self._state
+        return {state[s]: [state[t] for t in ts] for s, ts in self._preds.items()}
+
+    @cached_property
     def targets(self) -> set[State]:
-        return {s for s in self.states if s == self.goal_state}
+        return {self._state[s] for s in self._targets}
 
     def view(self) -> StateGraphView:
+        node = self._names.node
+        transitions = {
+            node[s]: [node[t] for t in self._succ[s]] for s in self._order
+        }
         return StateGraphView(
-            states={self.node_of[s] for s in self.states},
-            transitions={
-                self.node_of[s]: [self.node_of[t] for t in self.transitions[s]]
-                for s in self.states
-            },
-            targets={self.node_of[s] for s in self.targets},
+            states=set(transitions),
+            transitions=transitions,
+            targets={node[s] for s in self._targets},
         )
 
 
@@ -315,25 +457,25 @@ def prune_deadlocks(
     fixpoint closed over cycles, which inhibits e.g. every state with the
     box in a non-target corner) and, for mazes, iterated cul-de-sac cells.
     """
-    alive: set[State] = set()
-    queue = [s for s in space.targets]
-    alive.update(queue)
+    preds = space._preds
+    queue = list(space._targets)
+    alive = set(queue)
     while queue:
-        cur = queue.pop()
-        for pred in space.predecessors[cur]:
+        for pred in preds[queue.pop()]:
             if pred not in alive:
                 alive.add(pred)
                 queue.append(pred)
-    dead = {s for s in space.states if s not in alive}
-    if space.env.kind == "Maze":
-        culs = _cul_de_sac_cells(space.env)
-        dead |= {s for s in space.states if s.agent in culs}
-    for s in sorted(dead, key=lambda s: space.node_of[s]):
-        if not sessions.is_inhibited(space.node_of[s]):
-            sessions.inhibit(space.node_of[s])
+    culs: set[int] = set()
+    if space.env.kind == "Maze":  # a maze state is its agent's cell
+        culs = {space._names.cell(cell) for cell in _cul_de_sac_cells(space.env)}
+    dead = [s for s in space._order if s not in alive or s in culs]
+    node = space._names.node
+    for s in sorted(dead, key=node.__getitem__):
+        if not sessions.is_inhibited(node[s]):
+            sessions.inhibit(node[s])
             if trace is not None:
-                trace.emit("inhibit", _state_label(s), sessions.depth)
-    return dead
+                trace.emit("inhibit", space._names.label(s), sessions.depth)
+    return set(map(space._names.decode, dead))
 
 
 def _inhibited_sequences(space: StateSpace, sessions: SessionStack) -> set[tuple[int, ...]]:
@@ -347,8 +489,8 @@ def _inhibited_sequences(space: StateSpace, sessions: SessionStack) -> set[tuple
     return out
 
 
-def _register_solution(space: StateSpace, path: list[State]) -> int:
-    children = [(space.node_of[s], (i, 0)) for i, s in enumerate(path)]
+def _register_solution(space: StateSpace, nodes: tuple[int, ...]) -> int:
+    children = [(node, (i, 0)) for i, node in enumerate(nodes)]
     concept = space.graph.create_composite(children, kind=NodeKind.SOLUTION)
     node = space.graph.nodes[concept]
     if not node.label:
@@ -358,70 +500,73 @@ def _register_solution(space: StateSpace, path: list[State]) -> int:
 
 def _shortest_path(
     space: StateSpace,
-    source: State,
-    blocked: Callable[[State], bool],
-    cut: set[tuple[State, State]],
-) -> Optional[list[State]]:
+    source: int,
+    blocked: Callable[[int], bool],
+    avoid: Iterable[int] = (),
+    cut: Container[int] = (),
+) -> Optional[list[int]]:
     """BFS with parent pointers from `source` to the goal state.
 
-    Never enters a `blocked` state or takes a `cut` transition.
+    Never enters a `blocked` state or a state in `avoid`, and does not step
+    from `source` into a state in `cut`.
     """
-    goal = space.goal_state
-    parent: dict[State, Optional[State]] = {source: None}
-    queue = deque([source])
-    while queue:
-        cur = queue.popleft()
+    goal = space._goal
+    memo, expand = space._succ, space._expand
+    parent = dict.fromkeys(avoid, -1)
+    parent[source] = -1
+    queue = [source]
+    for cur in queue:  # the list is the queue
         if cur == goal:
-            path = []
-            while cur is not None:
+            path = [cur]
+            while (cur := parent[cur]) >= 0:
                 path.append(cur)
-                cur = parent[cur]
             return path[::-1]
-        for nxt in space.successors(cur):
-            if nxt not in parent and (cur, nxt) not in cut and not blocked(nxt):
+        succs = memo.get(cur)
+        if succs is None:
+            succs = expand(cur)
+        if cur == source:
+            succs = [nxt for nxt in succs if nxt not in cut]
+        for nxt in succs:
+            if nxt not in parent and not blocked(nxt):
                 parent[nxt] = cur
                 queue.append(nxt)
     return None
 
 
 def _loopless_paths(
-    space: StateSpace, blocked: Callable[[State], bool]
-) -> Iterator[list[State]]:
+    space: StateSpace, blocked: Callable[[int], bool]
+) -> Iterator[tuple[tuple[int, ...], list[int]]]:
     """Yen's algorithm: loopless start-to-goal paths avoiding `blocked` states.
 
-    Paths come in nondecreasing length, equal lengths ordered by their
-    node-id sequence. Each path after the first is the shortest candidate
-    that leaves an earlier path at some state (the spur) by a transition
-    no earlier path with the same prefix took, and never revisits the
-    prefix.
+    Yields each path with its node-id sequence. Paths come in
+    nondecreasing length, equal lengths ordered by their node-id sequence.
+    Each path after the first is the shortest candidate that leaves an
+    earlier path at some state (the spur) by a transition no earlier path
+    with the same prefix took, and never revisits the prefix.
     """
-    start = space.env.start_state
-    first = None if blocked(start) else _shortest_path(space, start, blocked, set())
+    start = space._start
+    first = None if blocked(start) else _shortest_path(space, start, blocked)
     if first is None:
         return
-
-    def ids(path: list[State]) -> tuple[int, ...]:
-        return tuple(space.node_of[s] for s in path)
-
-    candidates = [(len(first), ids(first), first)]
-    seen = {candidates[0][1]}
+    name = space._names.name
+    key = tuple(map(name, first))
+    candidates = [(len(first), key, first)]
+    seen = {key}
     # the yielded paths as a prefix tree below the start state: the keys of
     # the subtree under a prefix are the states those paths go to next
-    tree: dict[State, dict] = {}
+    tree: dict[int, dict] = {}
     while candidates:
-        path = heapq.heappop(candidates)[2]
-        yield path
+        _, key, path = heapq.heappop(candidates)
+        yield key, path
         subtree = tree
         for i in range(len(path) - 1):
             subtree.setdefault(path[i + 1], {})
-            cut = {(path[i], nxt) for nxt in subtree}
-            subtree = subtree[path[i + 1]]
-            prefix = set(path[:i])
-            spur = _shortest_path(space, path[i], lambda s: s in prefix or blocked(s), cut)
+            taken, subtree = subtree, subtree[path[i + 1]]
+            spur = _shortest_path(space, path[i], blocked, path[:i], taken)
             if spur is None:
                 continue
             candidate = path[:i] + spur
-            key = ids(candidate)
+            key = tuple(map(name, candidate))
             if key not in seen:
                 seen.add(key)
                 heapq.heappush(candidates, (len(candidate), key, candidate))
@@ -431,29 +576,34 @@ def _solutions(
     space: StateSpace,
     sessions: SessionStack,
     trace: TraceRecorder | None,
-    forbidden: Container[tuple[int, int]] = (),
+    forbidden: Iterable[tuple[int, int]] = (),
 ) -> Iterator[Solution]:
     """Yield each path that avoids inhibited states and `forbidden` cells
     and is not an inhibited solution."""
     rejected = _inhibited_sequences(space, sessions)
-    inhibited = {
-        space.state_of[n] for n in sessions.inhibited_nodes() if n in space.state_of
-    }
-    for path in _loopless_paths(space, lambda s: s in inhibited or s.agent in forbidden):
-        if tuple(space.node_of[s] for s in path) in rejected:
+    names = space._names
+    inhibited = {names.code[n] for n in sessions.inhibited_nodes() if n in names.code}
+    cells = {names.cell(cell) for cell in forbidden} - {-1}
+    blocked = inhibited.__contains__
+    if cells:
+        per_agent = names.per_agent
+        blocked = lambda s: s in inhibited or s // per_agent in cells
+    for key, path in _loopless_paths(space, blocked):
+        if key in rejected:
             continue
-        concept = _register_solution(space, path)
+        concept = _register_solution(space, key)
+        states = [names.decode(s) for s in path]
         if trace is not None:
             trace.emit("create_node", f"solution:{concept}", sessions.depth)
-            trace.emit("solution", ".".join(moves_of(path)), sessions.depth)
-        yield Solution(tuple(path), concept)
+            trace.emit("solution", ".".join(moves_of(states)), sessions.depth)
+        yield Solution(tuple(states), concept)
 
 
 def _first_solution(
     space: StateSpace,
     sessions: SessionStack | None,
     trace: TraceRecorder | None,
-    forbidden: Container[tuple[int, int]] = (),
+    forbidden: Iterable[tuple[int, int]] = (),
 ):
     if sessions is None:
         sessions = SessionStack(space.graph)

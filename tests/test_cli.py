@@ -129,8 +129,7 @@ def test_show_solution_concept_is_input_error(capsys, tmp_path):
     space.graph.export_file(graph)
     assert f"N {concept} SolutionConcept " in graph.read_text()
     code, out, err = run(capsys, "show", str(concept), "--graph", str(graph))
-    assert (code, out) == (2, "")
-    assert err.startswith("error: node ") and err.endswith(" is not a grid concept\n")
+    assert (code, out, err) == (2, "", f"error: node {concept} is not a grid concept\n")
 
 
 def test_recognize_known_and_unknown(capsys, ring_file, tmp_path):
@@ -225,6 +224,18 @@ def test_solve_forbid_cell(capsys, tmp_path):
     code, out, _ = run(capsys, "solve", str(env), "--forbid", "1,0")
     assert code == 1
     assert out == "NO SOLUTION\n"
+
+
+def test_solve_off_grid_forbid_does_not_alias(capsys, tmp_path):
+    # cell indices are y * width + x: (3, 0) would alias (0, 1) and (-1, 1)
+    # would alias (2, 0), and the only route passes both
+    env = tmp_path / "c.env"
+    env.write_text("S#G\n...\n")
+    expected = (0, "SOLUTION 4 moves: S E E N\n")
+    assert run(capsys, "solve", str(env))[:2] == expected
+    for cell in ("3,0", "-1,1"):
+        assert run(capsys, "solve", str(env), f"--forbid={cell}")[:2] == expected
+    assert run(capsys, "solve", str(env), "--forbid=3,0", "--forbid=-1,1")[:2] == expected
 
 
 def test_solve_forbid_trace_has_no_inhibitions(capsys, tmp_path):

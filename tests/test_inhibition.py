@@ -151,6 +151,26 @@ def test_rule_c_spares_targets():
     assert s.propagate(view) == set()
 
 
+def test_rule_c_derives_states_without_transitions():
+    # a state with no `transitions` entry and one with an empty list both
+    # fall, and so does a state whose successors are those two; a target
+    # with neither does not
+    g = ConceptGraph()
+    from gridmind import NodeKind
+
+    missing, empty, above, target = (
+        g.create_atom(NodeKind.STATE, f"s{i}") for i in range(4)
+    )
+    view = StateGraphView(
+        states={missing, empty, above, target},
+        transitions={empty: [], above: [missing, empty]},
+        targets={target},
+    )
+    s = SessionStack(g)
+    assert s.propagate(view) == {missing, empty, above}
+    assert not s.is_inhibited(target)
+
+
 def _random_concept_graph(rng):
     g = ConceptGraph()
     n_prims = rng.randint(2, 40)

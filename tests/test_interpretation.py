@@ -170,3 +170,21 @@ def test_explain_empty_grid():
     result = explain(learner, Grid(2, 2, {}))
     assert len(result) == 1
     assert not result[0].chosen
+
+
+def test_all_pairs_composites_give_every_perfect_matching():
+    # 10 features, one composite per pair: the maximal explanations are the
+    # 9!! = 945 perfect matchings, and no partial matching is maximal
+    g = ConceptGraph()
+    feats = [g.create_primitive(f"f{i}") for i in range(10)]
+    pair_of = {}
+    for i, a in enumerate(feats):
+        for b in feats[i + 1:]:
+            pair_of[g.create_composite([(a, (0, 0)), (b, (1, 0))])] = {a, b}
+    result = explain_features(g, set(feats))
+    assert len(result) == 945
+    assert len({e.chosen for e in result}) == 945
+    for e in result:
+        assert not e.novel and len(e.chosen) == 5
+        assert set().union(*(pair_of[c] for c in e.chosen)) == set(feats)
+        assert e.covered == set(feats)

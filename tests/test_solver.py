@@ -17,7 +17,7 @@ from gridmind import (
     solve,
     solve_with_constraints,
 )
-from gridmind.solver import State, step
+from gridmind.solver import State
 from oracles import (
     all_simple_maze_paths,
     bfs_distance,
@@ -27,6 +27,7 @@ from oracles import (
     legal_successors,
     random_maze_text,
     random_push_text,
+    reachable_states,
 )
 
 CORRIDOR = "S.G\n"
@@ -67,11 +68,34 @@ def test_single_exit_cell_has_one_transition():
     assert len(space.transitions[State((1, 2))]) == 1
 
 
+def _random_envs(rng, count):
+    """`count` random mazes and `count` random push puzzles."""
+    mazes = [
+        Environment.from_text(
+            random_maze_text(rng, rng.randint(2, 7), rng.randint(1, 7), rng.uniform(0, 0.5))
+        )
+        for _ in range(count)
+    ]
+    pushes = []
+    while len(pushes) < count:
+        text = random_push_text(rng, rng.randint(3, 6), rng.randint(3, 6), rng.uniform(0, 0.3))
+        if text is not None:
+            pushes.append(Environment.from_text(text))
+    return mazes + pushes
+
+
 def test_push_state_graph_matches_brute_force():
-    env = Environment.from_text("S....\n.B...\n...T.\n....G\n.....\n")
-    space = StateSpace(env)
-    for s in space.states:
-        assert space.transitions[s] == legal_successors(env, s)
+    envs = [Environment.from_text("S....\n.B...\n...T.\n....G\n.....\n")]
+    for env in envs + _random_envs(random.Random(83), 60):
+        space = StateSpace(env)
+        assert set(space.states) == reachable_states(env)
+        assert len(space.states) == len(space.transitions)
+        for s in space.states:
+            assert space.transitions[s] == legal_successors(env, s)
+        assert [space.node_of[s] for s in space.states] == list(range(len(space.states)))
+        assert sorted((s, t) for s, ts in space.transitions.items() for t in ts) == sorted(
+            (s, t) for t, ss in space.predecessors.items() for s in ss
+        )
 
 
 def test_prune_corridor_nothing():
@@ -191,8 +215,7 @@ def _assert_legal(env, sol: Solution):
     assert sol.path[-1] == env.goal_state
     assert len(set(sol.path)) == len(sol.path)
     for a, b in zip(sol.path, sol.path[1:]):
-        assert any(step(env, a, d) == b for _, d in
-                   (("N", (0, -1)), ("E", (1, 0)), ("S", (0, 1)), ("W", (-1, 0))))
+        assert b in legal_successors(env, a)
 
 
 def test_solve_random_mazes_sound_and_complete():
@@ -274,6 +297,20 @@ def test_constraints_pick_other_route():
     assert isinstance(result, Solution)
     assert all(s.agent != (1, 0) for s in result.path)
     assert len(result.moves) == bfs_distance(env, forbidden={(1, 0)})
+
+
+def test_constraints_off_grid_cells_do_not_alias():
+    # cell indices are y * width + x: (3, 0) would alias (0, 1), (-1, 1)
+    # would alias (2, 0) and (0, -1) would be a negative index
+    maze = Environment.from_text("S#G\n...\n")
+    push = Environment.from_text("S..\n.B.\n.T.\nG..\n")
+    for env in (maze, push):
+        plain = solve(StateSpace(env))
+        assert isinstance(plain, Solution)
+        assert (0, 1) in [s.agent for s in plain.path]
+        for forbidden in ({(3, 0)}, {(-1, 1)}, {(0, -1)}, {(3, 0), (-1, 1), (0, 4)}):
+            result = solve_with_constraints(StateSpace(env), forbidden)
+            assert result.path == plain.path
 
 
 def test_constraints_random_instances():
