@@ -9,6 +9,11 @@ Mutex links live in one symmetric adjacency map, node -> set of partners,
 so `mutex_partners` costs O(degree); `mutex` is a read-only view of the
 same links as sorted pairs.
 
+The composition link maps, parent -> children and child -> parents, hold
+entries only for nodes that have links, so a childless atom such as a
+`State` costs one slotted `ConceptNode` record and nothing else; readers
+look a node's links up with `.get(n, ())`.
+
 Roles are (dx, dy) integer offsets of the child's anchor inside the
 parent's frame; ordinal positions (state sequences) are encoded as (i, 0).
 A node's children are stored as one sorted list of distinct (child, role)
@@ -30,6 +35,7 @@ from __future__ import annotations
 import contextlib
 import os
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 
@@ -66,7 +72,7 @@ class ParseError(GraphError):
         self.line_no = line_no
 
 
-@dataclass
+@dataclass(slots=True)
 class ConceptNode:
     id: int
     kind: NodeKind
@@ -104,8 +110,6 @@ class ConceptGraph:
     def _new_node(self, kind: NodeKind, label: str = "", scale: int = 1) -> int:
         node_id = len(self.nodes)
         self.nodes[node_id] = ConceptNode(node_id, kind, label, scale)
-        self._children[node_id] = []
-        self._parents[node_id] = set()
         return node_id
 
     def create_primitive(self, label: str, scale: int = 1) -> int:
@@ -118,6 +122,14 @@ class ConceptGraph:
         if scale < 1:
             raise ValueError("scale must be positive")
         return self._new_node(kind, label, scale)
+
+    def create_atoms(self, kind: NodeKind, labels: list[str]) -> range:
+        """One childless node of scale 1 per label, with consecutive ids."""
+        nodes = self.nodes
+        first = len(nodes)
+        for node_id, label in enumerate(labels, first):
+            nodes[node_id] = ConceptNode(node_id, kind, label)
+        return range(first, len(nodes))
 
     def create_composite(
         self,
@@ -139,7 +151,7 @@ class ConceptGraph:
         # a fresh node has no parents, so its links cannot close a cycle
         self._children[node_id] = children
         for child, _role in children:
-            self._parents[child].add(node_id)
+            self._parents.setdefault(child, set()).add(node_id)
         self._composite_index[key] = node_id
         return node_id
 
@@ -186,11 +198,11 @@ class ConceptGraph:
 
     def parents_of(self, n: int) -> set[int]:
         self.node(n)
-        return set(self._parents[n])
+        return set(self._parents.get(n, ()))
 
     def children_of(self, n: int) -> list[tuple[int, Role]]:
         self.node(n)
-        return list(self._children[n])
+        return list(self._children.get(n, ()))
 
     def ancestors(self, n: int) -> set[int]:
         seen: set[int] = set()
@@ -199,7 +211,7 @@ class ConceptGraph:
             p = stack.pop()
             if p not in seen:
                 seen.add(p)
-                stack.extend(self._parents[p])
+                stack.extend(self._parents.get(p, ()))
         return seen
 
     def descendants(self, n: int) -> set[int]:
@@ -209,7 +221,7 @@ class ConceptGraph:
             c = stack.pop()
             if c not in seen:
                 seen.add(c)
-                stack.extend(ch for ch, _ in self._children[c])
+                stack.extend(ch for ch, _ in self._children.get(c, ()))
         return seen
 
     def exclusive_descendants(self, n: int) -> set[int]:
@@ -314,17 +326,21 @@ class ConceptGraph:
                 raise
             except (ValueError, IndexError) as exc:
                 raise ParseError(line_no, f"malformed record: {exc}") from None
-        children, parents = g._children, g._parents
+        nodes = g.nodes
+        # each node's links while reading; only the linked nodes' are kept
+        grouped: list[list[tuple[int, Role]]] = [[] for _ in nodes]
         for line_no, parent, child, role in links:
-            if parent not in children or child not in children:
+            if parent not in nodes or child not in nodes:
                 raise ParseError(line_no, f"composition link to unknown node {parent}->{child}")
-            children[parent].append((child, role))
-        for parent, entries in children.items():
+            grouped[parent].append((child, role))
+        children, parents = g._children, defaultdict(set)
+        for parent, entries in enumerate(grouped):  # in id order, as create_composite adds them
             if entries:
-                entries[:] = sorted(set(entries))  # as create_composite stores them
+                entries = children[parent] = sorted(set(entries))
                 g._composite_index.setdefault(tuple(entries), parent)
                 for child, _role in entries:
                     parents[child].add(parent)
+        g._parents = dict(parents)
         g._check_acyclic(links)
         return g
 
@@ -333,19 +349,19 @@ class ConceptGraph:
         is ordered once all its parents are. If some are left, each of them
         has a parent left, so walking up from one reaches a node twice."""
         waiting = {n: len(parents) for n, parents in self._parents.items()}
-        ready = [n for n, count in waiting.items() if count == 0]
+        ready = [n for n in self._children if n not in waiting]
         while ready:
-            for child in {c for c, _role in self._children[ready.pop()]}:
+            for child in {c for c, _role in self._children.get(ready.pop(), ())}:
                 waiting[child] -= 1
                 if waiting[child] == 0:
                     ready.append(child)
         left = [n for n, count in waiting.items() if count]
         if not left:
             return
-        child, parent, walked = None, left[0], set()
+        child, parent, walked = None, min(left), set()
         while parent not in walked:
             walked.add(parent)
-            child, parent = parent, min(p for p in self._parents[parent] if waiting[p])
+            child, parent = parent, min(p for p in self._parents[parent] if waiting.get(p))
         line_no = next(ln for ln, p, c, _role in links if (p, c) == (parent, child))
         raise ParseError(line_no, f"composition link {parent}->{child} closes a cycle")
 

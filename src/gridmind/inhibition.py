@@ -202,7 +202,7 @@ class SessionStack:
                 if parent not in inhibited:
                     derive(parent)
             for child in {c for c, _role in g._children.get(n, ())}:
-                left = parents_left.get(child, len(g._parents[child])) - 1
+                left = parents_left.get(child, len(g._parents.get(child, ()))) - 1
                 parents_left[child] = left
                 if not left and child not in inhibited:
                     derive(child)

@@ -397,7 +397,7 @@ class Learner:
             node_id = stack.pop()
             if nodes[node_id].kind not in _GRID_KINDS:
                 raise LearningError(f"node {node_id} is not a grid concept")
-            for child in {c for c, _ in graph_children[node_id]}:
+            for child in {c for c, _ in graph_children.get(node_id, ())}:
                 if child in needed:
                     needed[child] += 1
                 else:
@@ -411,7 +411,7 @@ class Learner:
                 stack.pop()
                 continue
             node = nodes[node_id]
-            children = graph_children[node_id]
+            children = graph_children.get(node_id, ())
             if node.kind is NodeKind.PRIMITIVE or not children:
                 if node.kind is not NodeKind.PRIMITIVE or not node.label.startswith(PRIMITIVE_PREFIX):
                     raise LearningError(f"node {node_id} is not a grid concept")
@@ -457,7 +457,7 @@ class Learner:
             if node_id is not None:
                 anchors.setdefault(node_id, []).append(feat.anchor)
         nodes, children = self.graph.nodes, self.graph._children
-        candidates = set(anchors).union(*(self.graph._parents[n] for n in anchors))
+        candidates = set(anchors).union(*(self.graph._parents.get(n, ()) for n in anchors))
         found = []  # ((hits, parts), concept, anchor)
         for node_id in candidates:
             if nodes[node_id].kind is not NodeKind.COMPOSITE:

@@ -11,10 +11,12 @@ Each state a search steps from keeps its successors as a list of ints.
 The searches, the memo, the state budget, deadlock pruning and the
 full build all run on these ints; `State` tuples are decoded only for the
 public boundary (`states`, `transitions`, `predecessors`, `targets`,
-`node_of`, `state_of` and `Solution.path`), and each state on a returned
-path is decoded and named once. The search is a breadth-first search with parent
-pointers that skips blocked states: those inhibited in the caller's
-sessions and, under constraints, those on a forbidden cell. Yen's
+`node_of`, `state_of` and `Solution.path`). The full build, and each path
+a search returns, names its unnamed states in one batch of childless
+graph atoms; labels and `State` tuples come from a per-cell table filled
+the first time a cell is looked up. The search is a breadth-first search
+with parent pointers that skips blocked states: those inhibited in the
+caller's sessions and, under constraints, those on a forbidden cell. Yen's
 algorithm (1971) runs it again from each branching point of the paths
 found so far, which yields every loopless start-to-goal path in
 nondecreasing length. Enumeration first inhibits deadlock states (states
@@ -172,14 +174,31 @@ class TraceRecorder:
                 fh.write(rec.to_line() + "\n")
 
 
+class _Cells(dict):
+    """Cell index -> ((x, y), "x,y"), made on the cell's first lookup, so a
+    short path in a large grid pays only for the cells it visits."""
+
+    def __init__(self, width: int):
+        super().__init__()
+        self.width = width
+
+    def __missing__(self, cell: int) -> tuple[tuple[int, int], str]:
+        y, x = divmod(cell, self.width)
+        entry = self[cell] = ((x, y), f"{x},{y}")
+        return entry
+
+
 class _Names:
     """One environment's state codes, and the concept nodes of coded states.
 
     A maze state is the agent's cell index `y * width + x`; a push-puzzle
     state is `agent * (width * height) + box`. `node` maps a state to its
-    concept node and `code` maps the node back. This holds no reference to
-    the `StateSpace`, so `node_of` and `state_of` close no reference cycle
-    and a space is freed as soon as the last reference to it goes.
+    concept node and `code` maps the node back. States are decoded and
+    labelled through one per-cell table of coordinates and `"x,y"` labels,
+    and `name_all` names states in one batch of childless graph atoms.
+    This holds no reference to the `StateSpace`, so `node_of` and
+    `state_of` close no reference cycle and a space is freed as soon as the
+    last reference to it goes.
     """
 
     def __init__(self, env: Environment, graph: ConceptGraph):
@@ -187,6 +206,7 @@ class _Names:
         self.graph = graph
         # a state's agent cell is `state // per_agent`, its box cell the rest
         self.per_agent = env.width * env.height if env.box is not None else 1
+        self.cells = _Cells(env.width)
         self.node: dict[int, int] = {}
         self.code: dict[int, int] = {}
 
@@ -205,28 +225,39 @@ class _Names:
             raise KeyError(state)
         return agent * self.per_agent + box
 
-    def decode(self, code: int) -> State:
-        agent, box = divmod(code, self.per_agent)
-        width = self.env.width
+    def decode_all(self, codes: Iterable[int]) -> list[State]:
+        cells = self.cells
         if self.env.box is None:
-            return State((agent % width, agent // width))
-        return State((agent % width, agent // width), (box % width, box // width))
+            return [State(cells[c][0]) for c in codes]
+        per_agent = self.per_agent
+        return [State(cells[c // per_agent][0], cells[c % per_agent][0]) for c in codes]
 
-    def label(self, code: int) -> str:
-        agent, box = divmod(code, self.per_agent)
-        width = self.env.width
-        label = f"state:{agent % width},{agent // width}"
-        if self.env.box is not None:
-            label += f":{box % width},{box // width}"
-        return label
+    def decode(self, code: int) -> State:
+        return self.decode_all((code,))[0]
+
+    def labels(self, codes: Iterable[int]) -> list[str]:
+        cells = self.cells
+        if self.env.box is None:
+            return ["state:" + cells[c][1] for c in codes]
+        per_agent = self.per_agent
+        return [f"state:{cells[c // per_agent][1]}:{cells[c % per_agent][1]}" for c in codes]
+
+    def name_all(self, codes: Iterable[int]) -> None:
+        """Give each unnamed state among `codes` (distinct) a concept node,
+        in the order given, in one batch."""
+        node = self.node
+        new = [c for c in codes if c not in node]
+        if new:
+            ids = self.graph.create_atoms(NodeKind.STATE, self.labels(new))
+            node.update(zip(new, ids))
+            self.code.update(zip(ids, new))
 
     def name(self, code: int) -> int:
         """The concept node of a state, created on first use."""
         node = self.node.get(code)
         if node is None:
-            node = self.graph.create_atom(NodeKind.STATE, self.label(code))
-            self.node[code] = node
-            self.code[node] = code
+            self.name_all((code,))
+            node = self.node[code]
         return node
 
 
@@ -246,7 +277,7 @@ class _NodeOf(Mapping):
             return False
 
     def __iter__(self) -> Iterator[State]:
-        return map(self._names.decode, self._names.node)
+        return iter(self._names.decode_all(self._names.node))
 
     def __len__(self) -> int:
         return len(self._names.node)
@@ -285,8 +316,8 @@ class StateSpace:
     `State` tuples appear only at the boundary. `node_of` gives a state its
     concept node the first time it is looked up, and `state_of` maps the
     node back. `states`, `transitions`, `predecessors`, `targets` and
-    `view()` build the whole reachable space once, on first use, and give
-    every state its node in breadth-first order.
+    `view()` build the whole reachable space once, on first use, and name
+    every state not yet named in one batch, in breadth-first order.
     """
 
     def __init__(self, env: Environment, graph: ConceptGraph | None = None):
@@ -361,16 +392,12 @@ class StateSpace:
                 if nxt not in seen:
                     seen.add(nxt)
                     order.append(nxt)
-        named, name = self._names.node, self._names.name
-        for s in order:
-            if s not in named:
-                name(s)
+        self._names.name_all(order)
         return order
 
     @cached_property
     def _state(self) -> dict[int, State]:
-        decode = self._names.decode
-        return {s: decode(s) for s in self._order}
+        return dict(zip(self._order, self._names.decode_all(self._order)))
 
     @cached_property
     def _preds(self) -> dict[int, list[int]]:
@@ -474,8 +501,8 @@ def prune_deadlocks(
         if not sessions.is_inhibited(node[s]):
             sessions.inhibit(node[s])
             if trace is not None:
-                trace.emit("inhibit", space._names.label(s), sessions.depth)
-    return set(map(space._names.decode, dead))
+                trace.emit("inhibit", space.graph.nodes[node[s]].label, sessions.depth)
+    return set(space._names.decode_all(dead))
 
 
 def _inhibited_sequences(space: StateSpace, sessions: SessionStack) -> set[tuple[int, ...]]:
@@ -548,8 +575,9 @@ def _loopless_paths(
     first = None if blocked(start) else _shortest_path(space, start, blocked)
     if first is None:
         return
-    name = space._names.name
-    key = tuple(map(name, first))
+    names = space._names
+    names.name_all(first)
+    key = tuple(map(names.node.__getitem__, first))
     candidates = [(len(first), key, first)]
     seen = {key}
     # the yielded paths as a prefix tree below the start state: the keys of
@@ -566,7 +594,8 @@ def _loopless_paths(
             if spur is None:
                 continue
             candidate = path[:i] + spur
-            key = tuple(map(name, candidate))
+            names.name_all(candidate)
+            key = tuple(map(names.node.__getitem__, candidate))
             if key not in seen:
                 seen.add(key)
                 heapq.heappush(candidates, (len(candidate), key, candidate))
@@ -592,7 +621,7 @@ def _solutions(
         if key in rejected:
             continue
         concept = _register_solution(space, key)
-        states = [names.decode(s) for s in path]
+        states = names.decode_all(path)
         if trace is not None:
             trace.emit("create_node", f"solution:{concept}", sessions.depth)
             trace.emit("solution", ".".join(moves_of(states)), sessions.depth)

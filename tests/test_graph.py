@@ -13,8 +13,9 @@ from gridmind import (
     NodeKind,
     ParseError,
     SelfMutexError,
+    SessionStack,
 )
-from oracles import legacy_quote, links_on_cycles
+from oracles import inhibition_closure_oracle, legacy_quote, links_on_cycles
 
 
 def test_first_primitive_gets_id_zero():
@@ -246,6 +247,56 @@ def test_unsorted_duplicated_records_import_as_create_composite_builds():
                 placed = children + rng.sample(children, len(children) // 2)
                 rng.shuffle(placed)
                 assert g2.find_composite(placed) == g.find_composite(placed) == n
+
+
+def _atoms_among_composites(rng: random.Random) -> tuple[ConceptGraph, list[int]]:
+    """States, transformations and primitives interleaved with composites;
+    returns the graph and the atoms that no composite places."""
+    g = ConceptGraph()
+    linkable, lone = [], []
+    for i in range(rng.randint(10, 40)):
+        if len(linkable) >= 2 and rng.random() < 0.4:
+            children = [(rng.choice(linkable), (rng.randint(-2, 2), 0)) for _ in range(3)]
+            if len(set(children)) >= 2:
+                linkable.append(g.create_composite(children))
+            continue
+        kind = rng.choice([NodeKind.STATE, NodeKind.TRANSFORMATION, NodeKind.PRIMITIVE])
+        atom = g.create_atom(kind, f"a{i}")
+        (lone if rng.random() < 0.3 else linkable).append(atom)
+    for _ in range(rng.randint(0, 6)):
+        g.add_mutex(*rng.sample(g.node_ids(), 2))
+    return g, lone
+
+
+def test_link_maps_hold_only_linked_nodes_random():
+    rng = random.Random(37)
+    for _ in range(40):
+        g, lone = _atoms_among_composites(rng)
+        text = g.export_text()
+        records = text.splitlines()[1:]
+        links = [r for r in records if r.startswith("C ")]
+        links += rng.sample(links, len(links) // 2)
+        links.sort(key=lambda r: int(r.split()[1]), reverse=True)
+        rest = [r for r in records if not r.startswith("C ")]
+        g2 = ConceptGraph.import_text("\n".join(["CGRAPH 1", *rest, *links]) + "\n")
+        assert g2.export_text() == text
+        for graph in (g, g2):
+            assert set(graph._children) == {int(r.split()[1]) for r in links}
+            assert set(graph._parents) == {int(r.split()[2]) for r in links}
+            for n in lone:
+                assert graph.children_of(n) == []
+                assert graph.parents_of(n) == set()
+                assert graph.descendants(n) == set()
+                assert graph.ancestors(n) == set()
+                assert graph.exclusive_descendants(n) == set()
+        s = SessionStack(g2)
+        for n in rng.sample(g2.node_ids(), 3) + lone[:1]:
+            s.inhibit(n)
+        before = s.inhibited_nodes()
+        expected = inhibition_closure_oracle(
+            {n: g2.parents_of(n) for n in g2.node_ids()}, g2.mutex, before, set()
+        )
+        assert s.propagate() == expected - before
 
 
 def test_deep_chain_imports_and_exports_byte_identically(monkeypatch):

@@ -1,6 +1,7 @@
 """Solver: state graphs, deadlock pruning, search, enumeration, constraints."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -425,6 +426,48 @@ def test_solve_names_only_path_states_in_push_puzzle():
     result = solve(space)
     assert result.moves == ["E", "E", "E"]
     assert len(space.graph) == len(result.path) + 1
+
+
+def _state_record(node: int, state: State) -> str:
+    label = "state:%d,%d" % state.agent
+    if state.box is not None:
+        label += ":%d,%d" % state.box
+    return f"N {node} State 1 {label}"
+
+
+def test_named_states_export_in_naming_order():
+    # the full build names every state in one batch, in `states` order, and
+    # a solve on a fresh space names its path in one batch, in path order
+    for env in _random_envs(random.Random(89), 40):
+        space = StateSpace(env)
+        states = space.states
+        solved = isinstance(solve(space), Solution)
+        assert len(space.graph) == len(states) + solved  # the solution concept
+        lines = space.graph.export_text().splitlines()
+        assert lines[1 : len(states) + 1] == [_state_record(i, s) for i, s in enumerate(states)]
+        fresh = StateSpace(env)
+        result = solve(fresh)
+        if isinstance(result, Solution):
+            lines = fresh.graph.export_text().splitlines()
+            expected = [_state_record(i, s) for i, s in enumerate(result.path)]
+            assert lines[1 : len(result.path) + 1] == expected
+            assert len(fresh.graph) == len(result.path) + 1
+
+
+def test_full_push_build_memory_is_bounded():
+    # 20,592 states, each a concept node: 20.9 MB when every node also had
+    # an empty children list and parents set, 13.0 MB with one record each
+    rows = [["."] * 12 for _ in range(12)]
+    rows[0][0], rows[5][5], rows[2][9], rows[11][11] = "S", "B", "T", "G"
+    space = StateSpace(Environment.from_text("\n".join(map("".join, rows)) + "\n"))
+    tracemalloc.start()
+    try:
+        count = len(space.states)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == len(space.graph) == 20_592
+    assert peak < 16 * 2**20
 
 
 def test_full_build_keeps_names_given_during_search():
