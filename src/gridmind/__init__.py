@@ -6,47 +6,17 @@ under mutex constraints, and solves grounded maze / push-puzzle tasks with
 deadlock pruning and exhaustive counterfactual solution enumeration.
 """
 
-from .graph import (
-    ArityError,
-    ConceptGraph,
-    ConceptNode,
-    GraphError,
-    NodeKind,
-    ParseError,
-    SelfMutexError,
-    UnknownNodeError,
-)
-from .grid import Grid, GridError
-from .inhibition import (
-    ConflictError,
-    SessionStack,
-    StateGraphView,
-    UnderflowError,
-)
-from .interpretation import Explanation, explain, explain_features
-from .learning import (
-    BoundsError,
-    Discrepancy,
-    EmptyInputError,
-    FeatureInstance,
-    InhibitedError,
-    Learner,
-    NoFitError,
-    ObserveReport,
-    RecognitionMatch,
-    Transformation,
-    extract_features,
-    find_transformation,
-)
+from .graph import ConceptGraph, NodeKind
+from .grid import Grid
+from .inhibition import SessionStack
+from .interpretation import explain, explain_features
+from .learning import Learner, Transformation, extract_features
 from .solver import (
     Environment,
-    InvalidEnvError,
     NoSolution,
     Solution,
     State,
     StateSpace,
-    TraceRecord,
-    TraceRecorder,
     enumerate_solutions,
     prune_deadlocks,
     solve,

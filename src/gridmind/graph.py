@@ -204,16 +204,6 @@ class ConceptGraph:
         self.node(n)
         return list(self._children.get(n, ()))
 
-    def ancestors(self, n: int) -> set[int]:
-        seen: set[int] = set()
-        stack = list(self._parents.get(n, ()))
-        while stack:
-            p = stack.pop()
-            if p not in seen:
-                seen.add(p)
-                stack.extend(self._parents.get(p, ()))
-        return seen
-
     def descendants(self, n: int) -> set[int]:
         seen: set[int] = set()
         stack = [c for c, _ in self._children.get(n, ())]
@@ -223,12 +213,6 @@ class ConceptGraph:
                 seen.add(c)
                 stack.extend(ch for ch, _ in self._children.get(c, ()))
         return seen
-
-    def exclusive_descendants(self, n: int) -> set[int]:
-        """Descendants with no parent outside n's descendant closure."""
-        desc = self.descendants(n)
-        closure = desc | {n}
-        return {d for d in desc if self._parents[d] <= closure}
 
     def find_composite(self, children: list[tuple[int, Role]]) -> int | None:
         return self._composite_index.get(tuple(sorted(set(children))))
@@ -364,9 +348,6 @@ class ConceptGraph:
             child, parent = parent, min(p for p in self._parents[parent] if waiting.get(p))
         line_no = next(ln for ln, p, c, _role in links if (p, c) == (parent, child))
         raise ParseError(line_no, f"composition link {parent}->{child} closes a cycle")
-
-    def structurally_equals(self, other: "ConceptGraph") -> bool:
-        return self.export_text() == other.export_text()
 
 
 _NEEDS_QUOTES = re.compile(r'[\s"]')

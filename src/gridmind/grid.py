@@ -44,15 +44,8 @@ class Grid:
     def __hash__(self):
         return hash((self.width, self.height, frozenset(self.cells.items())))
 
-    @property
-    def occupied(self) -> set[tuple[int, int]]:
-        return set(self.cells)
-
     def is_empty(self) -> bool:
         return not self.cells
-
-    def get(self, x: int, y: int) -> str | None:
-        return self.cells.get((x, y))
 
     def bounding_box(self) -> tuple[int, int, int, int]:
         """(min_x, min_y, max_x, max_y) of occupied cells."""

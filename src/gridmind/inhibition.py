@@ -32,7 +32,7 @@ graph.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .graph import ConceptGraph
 
@@ -56,19 +56,19 @@ class StateGraphView:
     targets: set[int]
 
 
-@dataclass
-class _Layer:
-    depth: int
-    nodes: set[int] = field(default_factory=set)  # inhibited at this depth
-
-
 class SessionStack:
-    """Activation/inhibition bookkeeping over a concept graph."""
+    """Activation/inhibition bookkeeping over a concept graph.
+
+    `_layers[d]` holds the nodes first inhibited at depth `d`. A node is
+    inhibited at most once, in the layer that was open then, so the layers
+    partition the inhibited set and releasing a session drops its whole
+    layer.
+    """
 
     def __init__(self, graph: ConceptGraph):
         self.graph = graph
-        self._layers: list[_Layer] = [_Layer(0)]
-        self._inhibited: dict[int, int] = {}  # node -> shallowest inhibiting depth
+        self._layers: list[set[int]] = [set()]
+        self._inhibited: set[int] = set()
         self._active: set[int] = set()
 
     @property
@@ -76,22 +76,16 @@ class SessionStack:
         return len(self._layers) - 1
 
     def begin_session(self) -> int:
-        self._layers.append(_Layer(self.depth + 1))
+        self._layers.append(set())
         return self.depth
 
     def release_session(self) -> None:
         if self.depth == 0:
             raise UnderflowError("cannot release the base layer")
-        layer = self._layers.pop()
-        for n in layer.nodes:
-            if self._inhibited.get(n) == layer.depth:
-                del self._inhibited[n]
+        self._inhibited -= self._layers.pop()
 
     def is_inhibited(self, n: int) -> bool:
         return n in self._inhibited
-
-    def inhibited_depth(self, n: int) -> int | None:
-        return self._inhibited.get(n)
 
     def inhibited_nodes(self) -> set[int]:
         return set(self._inhibited)
@@ -102,21 +96,13 @@ class SessionStack:
     def active_nodes(self) -> set[int]:
         return set(self._active)
 
-    def status(self, n: int) -> str:
-        if n in self._inhibited:
-            return f"Inhibited({self._inhibited[n]})"
-        if n in self._active:
-            return "Active"
-        return "Neutral"
-
     def inhibit(self, n: int) -> None:
         self.graph.node(n)
         if n in self._active:
             raise ConflictError(f"node {n} is Active, cannot inhibit")
-        layer = self._layers[-1]
         if n not in self._inhibited:
-            self._inhibited[n] = layer.depth
-            layer.nodes.add(n)
+            self._inhibited.add(n)
+            self._layers[-1].add(n)
 
     def set_active(self, n: int) -> None:
         self.graph.node(n)
@@ -127,30 +113,19 @@ class SessionStack:
     def clear_active(self, n: int) -> None:
         self._active.discard(n)
 
-    def clear_all_active(self) -> None:
-        self._active.clear()
-
     def _derive(self, n: int, derived: set[int]) -> None:
         if n in self._active:
             raise ConflictError(f"propagation would inhibit Active node {n}")
-        self._inhibited[n] = self._layers[-1].depth
-        self._layers[-1].nodes.add(n)
+        self._inhibited.add(n)
+        self._layers[-1].add(n)
         derived.add(n)
 
-    def propagate(
-        self,
-        state_view: StateGraphView | None = None,
-        worklist_order: list[int] | None = None,
-    ) -> set[int]:
-        """Run rules A/B/C plus the mutex closure to fixpoint.
-
-        `worklist_order` only changes the processing order, never the
-        result (the rules are monotone, hence confluent).
-        """
+    def propagate(self, state_view: StateGraphView | None = None) -> set[int]:
+        """Run rules A/B/C plus the mutex closure to fixpoint."""
         g = self.graph
         inhibited = self._inhibited
         active = self._active
-        seeds = set(inhibited) | active
+        seeds = inhibited | active
         dead_ends: set[int] = set()
         preds: dict[int, list[int]] = {}
         if state_view is not None:
@@ -162,11 +137,7 @@ class SessionStack:
                 for t in succs:
                     preds.setdefault(t, []).append(s)
             seeds |= dead_ends
-        if worklist_order is None:
-            queue = deque(sorted(seeds))
-        else:
-            rank = {n: i for i, n in enumerate(worklist_order)}
-            queue = deque(sorted(seeds, key=lambda n: (rank.get(n, len(rank)), n)))
+        queue = deque(sorted(seeds))
 
         derived: set[int] = set()
         expanded: set[int] = set()

@@ -58,7 +58,6 @@ def explain_features(
         c: {ch for ch, _ in graph._children[c]} & features for c in candidates
     }
     unexplainable = features - set().union(*feats_of.values())
-    entry_depth = sessions.depth
     maximal: list[Explanation] = []
 
     def branch(idx: int, chosen: list[int], covered: set[int]):
@@ -112,14 +111,8 @@ def explain_features(
         )
 
     branch(0, [], set())
-    while sessions.depth > entry_depth:
-        sessions.release_session()
     maximal.sort(key=lambda e: (-len(e.covered), sorted(e.chosen)))
-    covered_anywhere = set().union(*(e.covered for e in maximal)) if maximal else set()
-    suppressed_anywhere = (
-        set().union(*(e.suppressed for e in maximal)) if maximal else set()
-    )
-    residue = features - covered_anywhere - suppressed_anywhere
+    residue = features.difference(*(e.covered | e.suppressed for e in maximal))
     if residue:
         maximal.append(
             Explanation(

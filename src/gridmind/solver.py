@@ -10,8 +10,8 @@ the first time a search reaches the cell; a maze state is its own cell.
 Each state a search steps from keeps its successors as a list of ints.
 The searches, the memo, the state budget, deadlock pruning and the
 full build all run on these ints; `State` tuples are decoded only for the
-public boundary (`states`, `transitions`, `predecessors`, `targets`,
-`node_of`, `state_of` and `Solution.path`). The full build, and each path
+public boundary (`states`, `transitions`, `node_of`, `state_of` and
+`Solution.path`). The full build, and each path
 a search returns, names its unnamed states in one batch of childless
 graph atoms; labels and `State` tuples come from a per-cell table filled
 the first time a cell is looked up. The search is a breadth-first search
@@ -315,8 +315,8 @@ class StateSpace:
 
     `State` tuples appear only at the boundary. `node_of` gives a state its
     concept node the first time it is looked up, and `state_of` maps the
-    node back. `states`, `transitions`, `predecessors`, `targets` and
-    `view()` build the whole reachable space once, on first use, and name
+    node back. `states`, `transitions` and `view()` build the whole
+    reachable space once, on first use, and name
     every state not yet named in one batch, in breadth-first order.
     """
 
@@ -421,15 +421,6 @@ class StateSpace:
     def transitions(self) -> dict[State, list[State]]:
         state = self._state
         return {state[s]: [state[t] for t in self._succ[s]] for s in self._order}
-
-    @cached_property
-    def predecessors(self) -> dict[State, list[State]]:
-        state = self._state
-        return {state[s]: [state[t] for t in ts] for s, ts in self._preds.items()}
-
-    @cached_property
-    def targets(self) -> set[State]:
-        return {self._state[s] for s in self._targets}
 
     def view(self) -> StateGraphView:
         node = self._names.node

@@ -4,13 +4,8 @@ import random
 
 import pytest
 
-from gridmind import (
-    ConceptGraph,
-    ConflictError,
-    SessionStack,
-    StateGraphView,
-    UnderflowError,
-)
+from gridmind import ConceptGraph, SessionStack
+from gridmind.inhibition import ConflictError, StateGraphView, UnderflowError
 from oracles import inhibition_closure_oracle, iterated_elimination
 
 
@@ -29,7 +24,7 @@ def test_session_revert():
     s.inhibit(n)
     assert s.is_inhibited(n)
     s.release_session()
-    assert s.status(n) == "Neutral"
+    assert not s.is_inhibited(n) and not s.is_active(n)
 
 
 def test_release_at_base_underflows():
@@ -48,7 +43,21 @@ def test_nested_inhibit_shallowest_depth_wins():
     s.inhibit(n)  # no-op, already inhibited at depth 1
     s.release_session()
     assert s.is_inhibited(n)
-    assert s.inhibited_depth(n) == 1
+    s.release_session()
+    assert not s.is_inhibited(n)
+
+
+def test_release_drops_only_its_layer():
+    g, ids, parent34 = _chain_graph()
+    s = SessionStack(g)
+    s.begin_session()
+    s.inhibit(ids[2])
+    s.begin_session()
+    assert s.propagate() == {parent34, ids[3]}  # rules A and B, at depth 2
+    s.release_session()
+    assert s.inhibited_nodes() == {ids[2]}
+    s.release_session()
+    assert s.inhibited_nodes() == set()
 
 
 def test_inhibit_idempotent():
@@ -230,20 +239,22 @@ def test_confluence_under_worklist_permutations():
     rng = random.Random(5)
     for _ in range(30):
         g = _random_concept_graph(rng)
-        reference = None
         seeds = rng.sample(g.node_ids(), min(4, len(g)))
+        s = SessionStack(g)
+        for n in seeds:
+            s.inhibit(n)
+        s.propagate()
+        reference = s.inhibited_nodes()
         for _ in range(10):
+            # inhibit the seeds in two batches, closing after each
+            rng.shuffle(seeds)
+            cut = rng.randint(0, len(seeds))
             s = SessionStack(g)
-            s.begin_session()
-            for n in seeds:
-                s.inhibit(n)
-            order = g.node_ids()
-            rng.shuffle(order)
-            s.propagate(worklist_order=order)
-            result = s.inhibited_nodes()
-            if reference is None:
-                reference = result
-            assert result == reference
+            for batch in (seeds[:cut], seeds[cut:]):
+                for n in batch:
+                    s.inhibit(n)
+                s.propagate()
+            assert s.inhibited_nodes() == reference
 
 
 def _propagate_against_closure_oracle(g, s, view=None) -> bool:
@@ -300,7 +311,8 @@ def test_propagate_matches_closure_oracle_random():
                 g.add_mutex(*rng.sample(ids, 2))
             if not _propagate_against_closure_oracle(g, s, view):
                 s.release_session()
-                s.clear_all_active()
+                for n in s.active_nodes():
+                    s.clear_active(n)
                 continue
             inhibited = sorted(s.inhibited_nodes())
             if inhibited and rng.random() < 0.5:

@@ -11,16 +11,19 @@ from hypothesis import strategies as st
 
 from gridmind import (
     ConceptGraph,
-    EmptyInputError,
     Grid,
     Learner,
-    NoFitError,
     SessionStack,
     Transformation,
     extract_features,
+)
+from gridmind.learning import (
+    BoundsError,
+    EmptyInputError,
+    InhibitedError,
+    NoFitError,
     find_transformation,
 )
-from gridmind.learning import BoundsError, InhibitedError
 from oracles import random_grid, recognition_oracle
 
 RING = "xxx\nx.x\nxxx\n"
@@ -439,7 +442,7 @@ def test_discrepancy_goal_vs_empty_grid():
     root = learner.observe(Grid.from_text(RING)).root
     d = learner.compute_discrepancy(Grid(3, 3, {}), root)
     assert d.surplus == frozenset()
-    assert {(x, y) for x, y, _ in d.missing} == Grid.from_text(RING).occupied
+    assert {(x, y) for x, y, _ in d.missing} == set(Grid.from_text(RING).cells)
 
 
 def test_discrepancy_surplus_cell():

@@ -7,18 +7,17 @@ import pytest
 
 from gridmind import (
     Environment,
-    InvalidEnvError,
     NoSolution,
     SessionStack,
     Solution,
+    State,
     StateSpace,
-    TraceRecorder,
     enumerate_solutions,
     prune_deadlocks,
     solve,
     solve_with_constraints,
 )
-from gridmind.solver import State
+from gridmind.solver import InvalidEnvError, TraceRecorder
 from oracles import (
     all_simple_maze_paths,
     bfs_distance,
@@ -95,7 +94,7 @@ def test_push_state_graph_matches_brute_force():
             assert space.transitions[s] == legal_successors(env, s)
         assert [space.node_of[s] for s in space.states] == list(range(len(space.states)))
         assert sorted((s, t) for s, ts in space.transitions.items() for t in ts) == sorted(
-            (s, t) for t, ss in space.predecessors.items() for s in ss
+            (space._state[s], space._state[t]) for t, ss in space._preds.items() for s in ss
         )
 
 
