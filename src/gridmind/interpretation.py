@@ -7,15 +7,37 @@ Every maximal consistent cover is returned; features no composite can ever
 cover come back as a distinguished novel-residue explanation, which is the
 trigger for learning something new.
 
-An explanation needs no maximality test. It is a choice that accounts for
-every feature it leaves uncovered, so each such feature that some
-composite covers is inhibited. Any composite that could still join covers
-one of those features, and activating it would conflict, because
-propagation is monotone. So no explanation is contained in another.
+The search branches on features, as Knuth's Algorithm X does for exact
+cover. It decides the explainable features one at a time, in a fixed
+order (those in the fewest candidates first), skipping those already
+covered. A feature is either covered, by one compatible candidate that
+contains it, or left uncovered, which bans every candidate that contains
+it below that branch. The branches at a feature
+differ in which composite covers it, or in that none does, and that
+choice holds below them, so each chosen set is visited once. Conflict
+checks do not depend on the order composites are activated in, because
+propagation is monotone and confluent. Open decisions sit on an explicit
+stack of generators, so the search depth is not bounded by Python's
+recursion limit.
+
+Once every feature is decided, a choice is an explanation when it
+accounts for every feature it left uncovered: each is inhibited and has a
+covered mutex partner. Such a choice needs no maximality test. Any
+composite that could still join covers one of those features, and
+activating it would conflict, because propagation is monotone. So no
+explanation is contained in another.
+
+A feature is left uncovered only if one of its mutex partners is covered
+or can still be covered by an unbanned candidate. This loses no
+explanation: below that branch the feature stays uncovered, and so does
+each partner that is not covered yet and that no unbanned candidate
+contains, because bans only grow. Every choice found there would fail
+the test above.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .graph import ConceptGraph, NodeKind
@@ -53,21 +75,50 @@ def explain_features(
         sessions = SessionStack(graph)
     if not features:
         return [Explanation(frozenset(), frozenset(), frozenset())]
-    candidates = _candidate_composites(graph, features)
-    feats_of = {
-        c: {ch for ch, _ in graph._children[c]} & features for c in candidates
-    }
-    unexplainable = features - set().union(*feats_of.values())
+    feats_of: dict[int, set[int]] = {}
+    covering: dict[int, list[int]] = {}
+    for c in _candidate_composites(graph, features):
+        feats_of[c] = {ch for ch, _ in graph._children[c]} & features
+        for f in feats_of[c]:
+            covering.setdefault(f, []).append(c)
+    unexplainable = features - covering.keys()
+    order = sorted(covering, key=lambda f: (len(covering[f]), f))
+    banned: set[int] = set()
+    chosen: list[int] = []
+    covered: set[int] = set()
     maximal: list[Explanation] = []
 
-    def branch(idx: int, chosen: list[int], covered: set[int]):
-        extended = False
-        for i in range(idx, len(candidates)):
-            cand = candidates[i]
+    def decide(i: int) -> Iterator[int]:
+        """Branch on the first undecided feature from `order[i]` on.
+
+        Yields, inside each branch, the position to go on from. Once every
+        feature is decided, records the choice if it is an explanation.
+        """
+        while i < len(order) and order[i] in covered:
+            i += 1
+        if i == len(order):
+            # a choice that accounts for each feature it left uncovered is
+            # maximal (see the module docstring)
+            suppressed = covering.keys() - covered
+            if chosen and all(
+                sessions.is_inhibited(f) and any(p in covered for p in graph.mutex_partners(f))
+                for f in suppressed
+            ):
+                maximal.append(
+                    Explanation(
+                        frozenset(chosen),
+                        frozenset(covered),
+                        frozenset(suppressed),
+                        frozenset(unexplainable),
+                    )
+                )
+            return
+        f = order[i]
+        for cand in covering[f]:
             feats = feats_of[cand]
-            if feats & covered:
+            if cand in banned or feats & covered:
                 continue
-            if sessions.is_inhibited(cand) or any(sessions.is_inhibited(f) for f in feats):
+            if sessions.is_inhibited(cand) or any(sessions.is_inhibited(x) for x in feats):
                 continue
             sessions.begin_session()
             marked = []
@@ -78,39 +129,33 @@ def explain_features(
                         marked.append(n)
                 sessions.propagate()
             except ConflictError:
-                for n in marked:
-                    sessions.clear_active(n)
-                sessions.release_session()
-                continue
-            extended = True
-            branch(i + 1, chosen + [cand], covered | feats)
+                pass
+            else:
+                chosen.append(cand)
+                covered.update(feats)
+                yield i + 1
+                chosen.pop()
+                covered.difference_update(feats)
             for n in marked:
                 sessions.clear_active(n)
             sessions.release_session()
-        if extended or not chosen:
-            return
-        # terminal: account for every feature; a choice that does is
-        # maximal (see the module docstring)
-        suppressed = set()
-        for f in features - covered:
-            if f in unexplainable:
-                continue
-            if sessions.is_inhibited(f) and any(
-                p in covered for p in graph.mutex_partners(f)
-            ):
-                suppressed.add(f)
-            else:
-                return
-        maximal.append(
-            Explanation(
-                frozenset(chosen),
-                frozenset(covered),
-                frozenset(suppressed),
-                frozenset(unexplainable),
-            )
-        )
+        # leave `f` uncovered: worth it only if a partner can suppress it
+        newly = [c for c in covering[f] if c not in banned]
+        banned.update(newly)
+        if any(
+            p in covered or any(c not in banned for c in covering.get(p, ()))
+            for p in graph._mutex.get(f, ())
+        ):
+            yield i + 1
+        banned.difference_update(newly)
 
-    branch(0, [], set())
+    stack = [decide(0)]
+    while stack:
+        i = next(stack[-1], None)
+        if i is None:
+            stack.pop()
+        else:
+            stack.append(decide(i))
     maximal.sort(key=lambda e: (-len(e.covered), sorted(e.chosen)))
     residue = features.difference(*(e.covered | e.suppressed for e in maximal))
     if residue:

@@ -2,8 +2,28 @@
 
 import random
 
+import pytest
+
 from gridmind import ConceptGraph, Grid, Learner, SessionStack, explain, explain_features
+from gridmind.inhibition import ConflictError
 from oracles import explanation_subsets_oracle
+
+
+class _CountingSessions(SessionStack):
+    """Counts `propagate` calls, one per cover branch tried, and conflicts."""
+
+    def __init__(self, graph):
+        super().__init__(graph)
+        self.propagations = 0
+        self.conflicts = 0
+
+    def propagate(self, state_view=None):
+        self.propagations += 1
+        try:
+            return super().propagate(state_view)
+        except ConflictError:
+            self.conflicts += 1
+            raise
 
 
 def _fixture():
@@ -87,27 +107,38 @@ def test_empty_feature_set_single_empty_explanation():
 
 
 def test_session_hygiene():
-    g, f, _ = _fixture()
-    sessions = SessionStack(g)
-    sessions.begin_session()
-    before = sessions.inhibited_nodes()
-    explain_features(g, {f[i] for i in range(1, 5)}, sessions)
-    assert sessions.depth == 1
-    assert sessions.inhibited_nodes() == before
+    for conflicting in (False, True):
+        g, f, comp = _fixture()
+        if conflicting:
+            # covering with a composite of two mutex features always conflicts
+            g.create_composite([(f[2], (0, 0)), (f[3], (1, 0))])
+        sessions = _CountingSessions(g)
+        sessions.begin_session()
+        sessions.set_active(f[1])
+        sessions.inhibit(g.create_primitive("elsewhere"))
+        before = (sessions.inhibited_nodes(), sessions.active_nodes())
+        result = explain_features(g, {f[i] for i in range(1, 5)}, sessions)
+        assert {e.chosen for e in result if not e.novel} == {
+            frozenset({comp["A"], comp["C"]}),
+            frozenset({comp["B"], comp["D"]}),
+        }
+        assert (sessions.conflicts > 0) == conflicting
+        assert sessions.depth == 1
+        assert (sessions.inhibited_nodes(), sessions.active_nodes()) == before
 
 
 def test_oracle_equivalence_random():
     rng = random.Random(77)
-    for _ in range(40):
+    for _ in range(60):
         g = ConceptGraph()
-        n_feats = rng.randint(2, 6)
+        n_feats = rng.randint(2, 9)
         feats = [g.create_primitive(f"f{i}") for i in range(n_feats)]
-        for _ in range(rng.randint(0, 2)):
+        for _ in range(rng.randint(0, 3)):
             a, b = rng.sample(feats, 2)
             g.add_mutex(a, b)
         comps = {}
-        for _ in range(rng.randint(1, 6)):
-            k = rng.randint(1, min(3, n_feats))
+        for _ in range(rng.randint(1, 9)):
+            k = rng.randint(1, min(4, n_feats))
             chosen = rng.sample(feats, k)
             if k == 1:
                 pad = g.create_primitive(f"pad{len(g)}")
@@ -117,9 +148,13 @@ def test_oracle_equivalence_random():
             cid = g.create_composite(children)
             comps[cid] = set(chosen)
         feature_set = set(feats)
+        explainable = set().union(*comps.values())
         oracle = explanation_subsets_oracle(comps, feature_set, g.mutex)
-        got = {e.chosen for e in explain_features(g, feature_set) if not e.novel}
-        assert got == oracle
+        regular = [e for e in explain_features(g, feature_set) if not e.novel]
+        assert {e.chosen for e in regular} == oracle
+        for e in regular:
+            assert e.covered == set().union(*(comps[c] for c in e.chosen))
+            assert e.suppressed == explainable - e.covered
 
 
 def test_accounting_always_complete():
@@ -188,3 +223,51 @@ def test_all_pairs_composites_give_every_perfect_matching():
         assert not e.novel and len(e.chosen) == 5
         assert set().union(*(pair_of[c] for c in e.chosen)) == set(feats)
         assert e.covered == set(feats)
+
+
+def _disjoint_pairs(n):
+    """`n` composites over disjoint feature pairs: exactly one explanation."""
+    g = ConceptGraph()
+    feats = set()
+    for i in range(n):
+        a, b = g.create_primitive(f"a{i}"), g.create_primitive(f"b{i}")
+        g.create_composite([(a, (0, 0)), (b, (1, 0))])
+        feats |= {a, b}
+    return g, feats
+
+
+def test_search_depth_is_not_bounded_by_the_recursion_limit():
+    # one decision per composite, well past the default recursion limit
+    g, feats = _disjoint_pairs(1200)
+    result = explain_features(g, feats)
+    assert len(result) == 1
+    assert len(result[0].chosen) == 1200 and result[0].covered == feats
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_disjoint_composites_cost_one_branch_each(n):
+    g, feats = _disjoint_pairs(n)
+    sessions = _CountingSessions(g)
+    assert len(explain_features(g, feats, sessions)) == 1
+    assert sessions.propagations == n
+
+
+def test_leave_branch_only_when_a_partner_can_still_cover():
+    # f1 and f2 are mutex, g stands alone; each feature is in one
+    # composite, so the search decides them in id order
+    gr = ConceptGraph()
+    f1, f2, g = (gr.create_primitive(name) for name in ("f1", "f2", "g"))
+    gr.add_mutex(f1, f2)
+    a, b, c = (
+        gr.create_composite([(n, (0, 0)), (gr.create_primitive(f"pad{n}"), (1, 0))])
+        for n in (f1, f2, g)
+    )
+    sessions = _CountingSessions(gr)
+    result = explain_features(gr, {f1, f2, g}, sessions)
+    assert [(e.chosen, e.suppressed) for e in result] == [
+        ({a, c}, {f2}),
+        ({b, c}, {f1}),
+    ]
+    # cover f1, leave f2, cover g; leave f1, cover f2, cover g. Leaving f2
+    # too is skipped: f1 is uncovered and its only candidate is banned.
+    assert sessions.propagations == 4
