@@ -450,36 +450,55 @@ class Learner:
         composite scores its most-voted anchor (the top-left-most among
         ties) over its number of parts; a composite detected as a feature
         scores 1 at its top-left-most instance.
+
+        Anchors are counted as `(y, x)` keys in one dict per composite, so
+        the plain `min` over the tied keys is the top-left-most anchor. The
+        composites found are bucketed by `(hits, parts)`; buckets with equal
+        scores (1/2 and 2/4) are merged, the scores are walked best first,
+        and each bucket is sorted on plain `(-scale, concept, anchor)`
+        tuples: larger scale first, then lower id.
         """
-        anchors: dict[int, list[Coord]] = {}  # detected node -> its anchors in g
+        anchors: dict[int, list[Coord]] = {}  # detected node -> its (y, x) anchors in g
         for feat in extract_features(g):
             node_id = self._lookup_feature_node(feat)
             if node_id is not None:
-                anchors.setdefault(node_id, []).append(feat.anchor)
+                x, y = feat.anchor
+                anchors.setdefault(node_id, []).append((y, x))
         nodes, children = self.graph.nodes, self.graph._children
         candidates = set(anchors).union(*(self.graph._parents.get(n, ()) for n in anchors))
-        found = []  # ((hits, parts), concept, anchor)
+        buckets: dict[tuple[int, int], list] = {}  # (hits, parts) -> (-scale, concept, (y, x))
         for node_id in candidates:
-            if nodes[node_id].kind is not NodeKind.COMPOSITE:
+            node = nodes[node_id]
+            if node.kind is not NodeKind.COMPOSITE:
                 continue
             if sessions is not None and sessions.is_inhibited(node_id):
                 continue
             if node_id in anchors:
-                anchor = min(anchors[node_id], key=lambda a: (a[1], a[0]))
-                found.append(((1, 1), node_id, anchor))
-                continue
-            votes: dict[Coord, int] = {}
-            for child, (dx, dy) in children[node_id]:
-                for ax, ay in anchors.get(child, ()):
-                    a = (ax - dx, ay - dy)
-                    votes[a] = votes.get(a, 0) + 1
-            anchor, hits = max(votes.items(), key=lambda e: (e[1], -e[0][1], -e[0][0]))
-            found.append(((hits, len(children[node_id])), node_id, anchor))
-        scores = {hp: Fraction(*hp) for hp in {hp for hp, _, _ in found}}
-        rank = _ranks(scores)
-        # best score first, then larger scale, then lower id
-        found.sort(key=lambda e: (rank[e[0]], -nodes[e[1]].scale, e[1]))
-        return [RecognitionMatch(node_id, anchor, scores[hp]) for hp, node_id, anchor in found]
+                key, anchor = (1, 1), min(anchors[node_id])
+            else:
+                votes: dict[Coord, int] = {}
+                count = votes.get
+                parts = children[node_id]
+                for child, (dx, dy) in parts:
+                    for ay, ax in anchors.get(child, ()):
+                        a = (ay - dy, ax - dx)
+                        votes[a] = count(a, 0) + 1
+                hits = max(votes.values())
+                if hits == 1:
+                    anchor = min(votes)
+                else:
+                    anchor = min([a for a, n in votes.items() if n == hits])
+                key = (hits, len(parts))
+            buckets.setdefault(key, []).append((-node.scale, node_id, anchor))
+        by_score: dict[Fraction, list] = {}
+        for key, bucket in buckets.items():
+            by_score.setdefault(Fraction(*key), []).extend(bucket)
+        matches = []
+        for score in sorted(by_score, reverse=True):
+            bucket = by_score[score]
+            bucket.sort()
+            matches += [RecognitionMatch(node_id, (x, y), score) for _, node_id, (y, x) in bucket]
+        return matches
 
     def match_under_transformations(
         self, g: Grid

@@ -19,7 +19,11 @@ with parent pointers that skips blocked states: those inhibited in the
 caller's sessions and, under constraints, those on a forbidden cell. Yen's
 algorithm (1971) runs it again from each branching point of the paths
 found so far, which yields every loopless start-to-goal path in
-nondecreasing length. Enumeration first inhibits deadlock states (states
+nondecreasing length. Before any state search, a push puzzle whose box
+starts on a dead square (one from which no push sequence reaches the
+target, whatever the agent's position) has no solution; this takes
+O(cells), so an unsolvable large room answers without meeting the state
+budget. Enumeration first inhibits deadlock states (states
 from which no goal state is reachable, plus iterated cul-de-sac cells in
 mazes), which needs the whole space; a single solve does not, because no
 deadlock state lies on a shortest path. Solutions are registered as
@@ -334,6 +338,8 @@ class StateSpace:
             [None] * names.per_agent if env.box is not None else []
         )
         self._succ: dict[int, list[int]] = {}
+        # whether the box starts on a dead square, once `_box_dead` asks
+        self._dead: Optional[bool] = None if env.box is not None else False
         self._start = names.encode(env.start_state)
         self._goal = names.encode(env.goal_state)
         self.node_of: Mapping[State, int] = _NodeOf(names)
@@ -377,6 +383,36 @@ class StateSpace:
                 succs = [cell * per_agent + box for cell in moves if cell >= 0]
         self._succ[state] = succs
         return succs
+
+    def _box_dead(self) -> bool:
+        """Whether the box starts on a dead square: a cell from which no
+        push sequence brings it to its target, even with the agent free to
+        stand anywhere (Junghanns & Schaeffer, 2001). The box moves to a
+        free neighbour when the cell on its other side is free for the agent
+        to push from. A breadth-first search over these moves from the box
+        stops at the target: O(cells) at most, and only the cells around the
+        box when it starts a few pushes away. Computed on the first call, and
+        not as a `cached_property`: writing the instance `__dict__` slows
+        every attribute lookup of the state search that follows."""
+        if self._dead is None:
+            table, cell_of = self._moves, self._names.cell
+            target = cell_of(self.env.box_target)
+            queue = [cell_of(self.env.box)]
+            seen = set(queue)
+            self._dead = True
+            for box in queue:  # the list is the queue
+                if box == target:
+                    self._dead = False
+                    break
+                moves = table[box]
+                if moves is None:
+                    moves = table[box] = self._row(box)
+                for i, pushed in enumerate(moves):
+                    # the agent pushes from the cell opposite `pushed`
+                    if pushed >= 0 and pushed not in seen and moves[i - 2] >= 0:
+                        seen.add(pushed)
+                        queue.append(pushed)
+        return self._dead
 
     @cached_property
     def _order(self) -> list[int]:
@@ -627,7 +663,9 @@ def _first_solution(
 ):
     if sessions is None:
         sessions = SessionStack(space.graph)
-    result = next(_solutions(space, sessions, trace, forbidden), None)
+    result = None
+    if not space._box_dead():
+        result = next(_solutions(space, sessions, trace, forbidden), None)
     if result is None:
         if trace is not None:
             trace.emit("no_solution", "unreachable", sessions.depth)
@@ -647,7 +685,8 @@ def solve(
     nodes. It needs no deadlock pruning: a state that cannot reach the
     goal never lies on a shortest path, so the breadth-first parent
     pointers pick the path they would pick with the deadlock states
-    inhibited.
+    inhibited. A box that starts on a dead square gives `NoSolution`
+    without a search.
     """
     return _first_solution(space, sessions, trace)
 
@@ -660,8 +699,11 @@ def enumerate_solutions(
     """Every loopless solution (at most `max_solutions`), shortest first.
 
     Deadlock states are inhibited first, which builds the whole space and
-    spares Yen's spur searches from entering them.
+    spares Yen's spur searches from entering them. A box that starts on a
+    dead square gives no solution before any of that.
     """
+    if space._box_dead():
+        return []
     sessions = SessionStack(space.graph)
     prune_deadlocks(space, sessions, trace)
     return list(islice(_solutions(space, sessions, trace), max_solutions))

@@ -179,6 +179,26 @@ def test_solve_no_solution_exit_one(capsys, tmp_path):
     assert out == "NO SOLUTION\n"
 
 
+def _walled_off_room(size: int = 40) -> str:
+    """An open room whose box target is closed in by a ring of walls."""
+    rows = [["."] * size for _ in range(size)]
+    for y in range(size - 4, size - 1):
+        rows[y][size - 4:size - 1] = "###"
+    rows[0][0], rows[size - 1][size - 1] = "S", "G"
+    rows[5][5], rows[size - 3][size - 3] = "B", "T"
+    return "\n".join("".join(row) for row in rows) + "\n"
+
+
+def test_solve_walled_off_push_target_is_no_solution(capsys, tmp_path):
+    # the room has far more states than the budget; the box cannot reach its
+    # target from any cell, so every mode answers "no result" at once
+    env = tmp_path / "room.env"
+    env.write_text(_walled_off_room())
+    for extra, out in (((), "NO SOLUTION\n"), (("--enumerate",), "TOTAL 0\n"),
+                       (("--forbid", "1,1"), "NO SOLUTION\n")):
+        assert run(capsys, "solve", str(env), *extra) == (1, out, "")
+
+
 def test_solve_enumerate_all(capsys, tmp_path):
     env = tmp_path / "c.env"
     env.write_text("S.\n.G\n")

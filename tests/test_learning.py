@@ -191,6 +191,19 @@ def test_recognize_equal_scores_share_a_rank():
     assert ranked == sorted(ranked, key=[half, quarters].index)
 
 
+def test_recognize_ties_go_to_the_top_left_most_anchor():
+    # `cell:x` is detected at (2, 0) and (0, 1), and each placement is one
+    # vote: the tie goes to the anchor with the lower y, then the lower x
+    g = ConceptGraph()
+    x, z = g.create_primitive("cell:x"), g.create_primitive("cell:z")
+    right = g.create_composite([(x, (0, 0)), (z, (1, 0))])
+    left = g.create_composite([(x, (3, 0)), (z, (0, 0))])  # anchors left of the canvas
+    probe = Grid.from_text("..x\nx..\n")
+    got = [(m.concept, m.anchor, m.score) for m in Learner(g).recognize(probe)]
+    assert got == [(right, (2, 0), Fraction(1, 2)), (left, (-1, 0), Fraction(1, 2))]
+    assert got == recognition_oracle(g, probe)
+
+
 def test_recognize_unknown_pattern_returns_nothing():
     learner = Learner()
     learner.observe(Grid.from_text(RING))
@@ -228,7 +241,7 @@ def _scene(rng, pieces, max_dim=8):
     return Grid(max_dim, max_dim, cells)
 
 
-def _probes(rng, learned):
+def _probes(rng, learned, noise_dim=8):
     source = rng.choice(learned).cropped()
     w = source.width + rng.randint(0, 3)
     h = source.height + rng.randint(0, 3)
@@ -239,7 +252,7 @@ def _probes(rng, learned):
         rng.choice(learned),
         translated,
         Grid(source.width, source.height, partial or dict(source.cells)),
-        random_grid(rng, max_dim=8, symbols="abc"),
+        random_grid(rng, max_dim=noise_dim, symbols="abc"),
     ]
 
 
@@ -288,6 +301,50 @@ def test_recognize_matches_oracle_random():
                 and Transformation("translate", dx=dx, dy=dy).inverse_apply(probe) is not None
             }
             assert listed == fits
+
+
+def _transformation_oracle(graph, probe):
+    """`match_under_transformations` built from `recognition_oracle`: the
+    family in order (identity; every translation with a pre-image, dy-major,
+    only if the identity list is not empty; rotate90 1..3, reflect_h,
+    reflect_v and scale 2..max(w, h)), the oracle's list on each pre-image,
+    stable-sorted by score and scale, both descending, then by id."""
+    family = [Transformation("identity")]
+    if recognition_oracle(graph, probe):
+        family += [
+            Transformation("translate", dx=dx, dy=dy)
+            for dy in range(1 - probe.height, probe.height)
+            for dx in range(1 - probe.width, probe.width)
+            if dx or dy
+        ]
+    family += [Transformation("rotate90", k=k) for k in (1, 2, 3)]
+    family += [Transformation("reflect_h"), Transformation("reflect_v")]
+    family += [Transformation("scale", k=k) for k in range(2, max(probe.width, probe.height) + 1)]
+    out = []
+    for t in family:
+        pre = t.inverse_apply(probe)
+        if pre is not None:
+            out += [(n, anchor, score, t) for n, anchor, score in recognition_oracle(graph, pre)]
+    out.sort(key=lambda e: (-e[2], -graph.nodes[e[0]].scale, e[0]))
+    return out
+
+
+def test_match_under_transformations_matches_oracle_random():
+    rng = random.Random(67)
+    for _ in range(20):
+        learner = Learner()
+        learned = []
+        for _ in range(rng.randint(1, 5)):
+            g = random_grid(rng, max_dim=3, symbols="ab")
+            learner.observe(g)
+            learned.append(g)
+        scaled = Transformation("scale", k=2).apply(rng.choice(learned))
+        for probe in _probes(rng, learned, noise_dim=6) + [scaled]:
+            got = [
+                (m.concept, m.anchor, m.score, t)
+                for m, t in learner.match_under_transformations(probe)
+            ]
+            assert got == _transformation_oracle(learner.graph, probe)
 
 
 # -- transformations -------------------------------------------------------

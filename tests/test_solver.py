@@ -347,6 +347,32 @@ def test_push_puzzle_corner_start_unsolvable():
     assert isinstance(result, NoSolution)
 
 
+def test_push_box_on_dead_square_is_answered_without_search():
+    # the target sits in a closed ring of walls, so no cell outside it is live
+    text = "S......\n.B.....\n.......\n....###\n....#T#\n....###\n......G\n"
+    for run in (solve, enumerate_solutions,
+                lambda space: solve_with_constraints(space, {(0, 1)})):
+        space = StateSpace(Environment.from_text(text))
+        assert run(space) in (NoSolution(), [])
+        assert space._succ == {}
+
+
+def test_push_dead_square_is_sound_random():
+    # a box declared dead never has a solution; the check must also fire
+    rng = random.Random(83)
+    dead = 0
+    for _ in range(300):
+        size = rng.randint(3, 6)
+        text = random_push_text(rng, size, size, rng.uniform(0, 0.35))
+        if text is None:
+            continue
+        env = Environment.from_text(text)
+        if StateSpace(env)._box_dead():
+            dead += 1
+            assert bfs_distance(env) is None, text
+    assert dead >= 30
+
+
 def test_push_random_solvable_iff_oracle():
     rng = random.Random(44)
     checked = 0
