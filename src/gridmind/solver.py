@@ -19,13 +19,14 @@ with parent pointers that skips blocked states: those inhibited in the
 caller's sessions and, under constraints, those on a forbidden cell. Yen's
 algorithm (1971) runs it again from each branching point of the paths
 found so far, which yields every loopless start-to-goal path in
-nondecreasing length. Before any state search, a push puzzle whose box
-starts on a dead square (one from which no push sequence reaches the
-target, whatever the agent's position) has no solution; this takes
-O(cells), so an unsolvable large room answers without meeting the state
-budget. Enumeration first inhibits deadlock states (states
-from which no goal state is reachable, plus iterated cul-de-sac cells in
-mazes), which needs the whole space; a single solve does not, because no
+nondecreasing length. Before any state search, a push puzzle has no
+solution when its box starts on a dead square (one from which no push
+sequence reaches the target, whatever the agent's position) or when walls
+alone keep the agent from its goal; this takes O(cells), so an unsolvable
+large room answers without meeting the state budget. Enumeration first
+inhibits deadlock states (states from which no goal state is reachable,
+plus iterated cul-de-sac cells in mazes), which needs the whole space and
+reads only its successor lists; a single solve does not, because no
 deadlock state lies on a shortest path. Solutions are registered as
 high-level concepts; a path whose solution concept is inhibited is
 skipped, so inhibiting a found solution makes the next run return an
@@ -74,10 +75,6 @@ class Environment:
     goal: tuple[int, int]
     box: Optional[tuple[int, int]] = None
     box_target: Optional[tuple[int, int]] = None
-
-    @property
-    def kind(self) -> str:
-        return "PushPuzzle" if self.box is not None else "Maze"
 
     def is_free(self, pos: tuple[int, int]) -> bool:
         x, y = pos
@@ -321,7 +318,9 @@ class StateSpace:
     concept node the first time it is looked up, and `state_of` maps the
     node back. `states`, `transitions` and `view()` build the whole
     reachable space once, on first use, and name
-    every state not yet named in one batch, in breadth-first order.
+    every state not yet named in one batch, in breadth-first order. The
+    full build keeps only that order, `_order`, and the successor lists in
+    `_succ`; the views and `prune_deadlocks` derive all else from these.
     """
 
     def __init__(self, env: Environment, graph: ConceptGraph | None = None):
@@ -338,7 +337,7 @@ class StateSpace:
             [None] * names.per_agent if env.box is not None else []
         )
         self._succ: dict[int, list[int]] = {}
-        # whether the box starts on a dead square, once `_box_dead` asks
+        # whether a push puzzle is unsolvable, once `_cut_off` asks
         self._dead: Optional[bool] = None if env.box is not None else False
         self._start = names.encode(env.start_state)
         self._goal = names.encode(env.goal_state)
@@ -384,34 +383,43 @@ class StateSpace:
         self._succ[state] = succs
         return succs
 
-    def _box_dead(self) -> bool:
-        """Whether the box starts on a dead square: a cell from which no
-        push sequence brings it to its target, even with the agent free to
-        stand anywhere (Junghanns & Schaeffer, 2001). The box moves to a
-        free neighbour when the cell on its other side is free for the agent
-        to push from. A breadth-first search over these moves from the box
-        stops at the target: O(cells) at most, and only the cells around the
-        box when it starts a few pushes away. Computed on the first call, and
-        not as a `cached_property`: writing the instance `__dict__` slows
-        every attribute lookup of the state search that follows."""
+    def _cut_off(self) -> bool:
+        """Whether a push puzzle is unsolvable before any state search: its
+        box starts on a dead square, a cell from which no push sequence
+        brings it to its target even with the agent free to stand anywhere
+        (Junghanns & Schaeffer, 2001), or its agent cannot reach `G` over
+        free cells even with the box out of the way. The box moves to a free
+        neighbour when the cell on its other side is free for the agent to
+        push from; the agent moves to any free neighbour. A breadth-first
+        search over these moves stops at the destination: O(cells) at most,
+        and only the nearby cells when the destination is a few moves away.
+        Computed on the first call, and not as a `cached_property`: writing
+        the instance `__dict__` slows every attribute lookup of the state
+        search that follows."""
         if self._dead is None:
-            table, cell_of = self._moves, self._names.cell
-            target = cell_of(self.env.box_target)
-            queue = [cell_of(self.env.box)]
-            seen = set(queue)
-            self._dead = True
-            for box in queue:  # the list is the queue
-                if box == target:
-                    self._dead = False
+            env, table, cell_of = self.env, self._moves, self._names.cell
+            self._dead = False
+            for mover, dest, pushed in (
+                (env.box, env.box_target, True),
+                (env.start, env.goal, False),
+            ):
+                dest = cell_of(dest)
+                queue = [cell_of(mover)]
+                seen = set(queue)
+                for cell in queue:  # the list is the queue
+                    if cell == dest:
+                        break
+                    moves = table[cell]
+                    if moves is None:
+                        moves = table[cell] = self._row(cell)
+                    for i, nxt in enumerate(moves):
+                        # a push needs the cell opposite `nxt` free
+                        if nxt >= 0 and nxt not in seen and (not pushed or moves[i - 2] >= 0):
+                            seen.add(nxt)
+                            queue.append(nxt)
+                else:
+                    self._dead = True
                     break
-                moves = table[box]
-                if moves is None:
-                    moves = table[box] = self._row(box)
-                for i, pushed in enumerate(moves):
-                    # the agent pushes from the cell opposite `pushed`
-                    if pushed >= 0 and pushed not in seen and moves[i - 2] >= 0:
-                        seen.add(pushed)
-                        queue.append(pushed)
         return self._dead
 
     @cached_property
@@ -432,30 +440,12 @@ class StateSpace:
         return order
 
     @cached_property
-    def _state(self) -> dict[int, State]:
-        return dict(zip(self._order, self._names.decode_all(self._order)))
-
-    @cached_property
-    def _preds(self) -> dict[int, list[int]]:
-        preds: dict[int, list[int]] = {s: [] for s in self._order}
-        for s in self._order:
-            for t in self._succ[s]:
-                preds[t].append(s)
-        return preds
-
-    @cached_property
-    def _targets(self) -> list[int]:
-        """The goal state, if it is reachable."""
-        self._order  # the full build leaves exactly the reachable states in `_succ`
-        return [self._goal] if self._goal in self._succ else []
-
-    @cached_property
     def states(self) -> list[State]:
-        return list(self._state.values())
+        return self._names.decode_all(self._order)
 
     @cached_property
     def transitions(self) -> dict[State, list[State]]:
-        state = self._state
+        state = dict(zip(self._order, self.states))
         return {state[s]: [state[t] for t in self._succ[s]] for s in self._order}
 
     def view(self) -> StateGraphView:
@@ -463,41 +453,12 @@ class StateSpace:
         transitions = {
             node[s]: [node[t] for t in self._succ[s]] for s in self._order
         }
+        # the full build leaves exactly the reachable states in `_succ`
         return StateGraphView(
             states=set(transitions),
             transitions=transitions,
-            targets={node[s] for s in self._targets},
+            targets={node[self._goal]} if self._goal in self._succ else set(),
         )
-
-
-def _cul_de_sac_cells(env: Environment) -> set[tuple[int, int]]:
-    """Iterated dead-end filling; start and goal cells are protected."""
-    live = {
-        (x, y)
-        for x in range(env.width)
-        for y in range(env.height)
-        if env.is_free((x, y))
-    }
-
-    def live_neighbours(cell):
-        around = ((cell[0] + dx, cell[1] + dy) for _, (dx, dy) in DIRECTIONS)
-        return [n for n in around if n in live]
-
-    protected = (env.start, env.goal)
-    degree = {cell: len(live_neighbours(cell)) for cell in live}
-    queue = [c for c, d in degree.items() if d <= 1 and c not in protected]
-    removed: set[tuple[int, int]] = set()
-    while queue:
-        cell = queue.pop()
-        if cell in removed:
-            continue
-        removed.add(cell)
-        live.discard(cell)
-        for n in live_neighbours(cell):
-            degree[n] -= 1
-            if degree[n] <= 1 and n not in protected:
-                queue.append(n)
-    return removed
 
 
 def prune_deadlocks(
@@ -510,19 +471,40 @@ def prune_deadlocks(
     Covers states from which the goal state is unreachable (the rule-C
     fixpoint closed over cycles, which inhibits e.g. every state with the
     box in a non-target corner) and, for mazes, iterated cul-de-sac cells.
+    Both are found on the full build's successor lists: the first by a
+    breadth-first search from the goal over the reversed lists, the second
+    by filling dead ends on the lists of the reachable states.
     """
-    preds = space._preds
-    queue = list(space._targets)
+    order, succ = space._order, space._succ
+    preds: dict[int, list[int]] = {s: [] for s in order}
+    for s in order:
+        for t in succ[s]:
+            preds[t].append(s)
+    # the full build leaves exactly the reachable states in `succ`
+    queue = [space._goal] if space._goal in succ else []
     alive = set(queue)
-    while queue:
-        for pred in preds[queue.pop()]:
+    for s in queue:  # the list is the queue
+        for pred in preds[s]:
             if pred not in alive:
                 alive.add(pred)
                 queue.append(pred)
-    culs: set[int] = set()
-    if space.env.kind == "Maze":  # a maze state is its agent's cell
-        culs = {space._names.cell(cell) for cell in _cul_de_sac_cells(space.env)}
-    dead = [s for s in space._order if s not in alive or s in culs]
+    if space.env.box is None:
+        # A maze state is its agent's cell and every move can be undone, so a
+        # state's successors are its free neighbours. Filling dead ends has
+        # one result in any order, so filling only the reachable cells finds
+        # the reachable ones among the dead ends of the whole grid.
+        spared = (space._start, space._goal)
+        degree = {s: len(succ[s]) for s in order}
+        filled = [s for s, d in degree.items() if d <= 1 and s not in spared]
+        for s in filled:  # the list is the queue
+            del degree[s]
+            for n in succ[s]:
+                if n in degree:
+                    degree[n] -= 1
+                    if degree[n] == 1 and n not in spared:
+                        filled.append(n)
+        alive.difference_update(filled)
+    dead = [s for s in order if s not in alive]
     node = space._names.node
     for s in sorted(dead, key=node.__getitem__):
         if not sessions.is_inhibited(node[s]):
@@ -664,7 +646,7 @@ def _first_solution(
     if sessions is None:
         sessions = SessionStack(space.graph)
     result = None
-    if not space._box_dead():
+    if not space._cut_off():
         result = next(_solutions(space, sessions, trace, forbidden), None)
     if result is None:
         if trace is not None:
@@ -685,8 +667,8 @@ def solve(
     nodes. It needs no deadlock pruning: a state that cannot reach the
     goal never lies on a shortest path, so the breadth-first parent
     pointers pick the path they would pick with the deadlock states
-    inhibited. A box that starts on a dead square gives `NoSolution`
-    without a search.
+    inhibited. A push puzzle found unsolvable before any search (see
+    `StateSpace._cut_off`) gives `NoSolution` without a search.
     """
     return _first_solution(space, sessions, trace)
 
@@ -699,10 +681,10 @@ def enumerate_solutions(
     """Every loopless solution (at most `max_solutions`), shortest first.
 
     Deadlock states are inhibited first, which builds the whole space and
-    spares Yen's spur searches from entering them. A box that starts on a
-    dead square gives no solution before any of that.
+    spares Yen's spur searches from entering them. A push puzzle found
+    unsolvable before any search gives no solution before any of that.
     """
-    if space._box_dead():
+    if space._cut_off():
         return []
     sessions = SessionStack(space.graph)
     prune_deadlocks(space, sessions, trace)

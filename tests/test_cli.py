@@ -179,24 +179,34 @@ def test_solve_no_solution_exit_one(capsys, tmp_path):
     assert out == "NO SOLUTION\n"
 
 
-def _walled_off_room(size: int = 40) -> str:
-    """An open room whose box target is closed in by a ring of walls."""
-    rows = [["."] * size for _ in range(size)]
-    for y in range(size - 4, size - 1):
-        rows[y][size - 4:size - 1] = "###"
-    rows[0][0], rows[size - 1][size - 1] = "S", "G"
-    rows[5][5], rows[size - 3][size - 3] = "B", "T"
+def _ringed_room(marks: dict[str, tuple[int, int]], ring: tuple[int, int, int, int]) -> str:
+    """A 40 x 40 open room with `marks` ({char: (x, y)}) and walls on the
+    border of the square from (x0, y0) to (x1, y1) given by `ring`."""
+    x0, y0, x1, y1 = ring
+    rows = [["."] * 40 for _ in range(40)]
+    for y in range(y0, y1 + 1):
+        for x in range(x0, x1 + 1):
+            if x in (x0, x1) or y in (y0, y1):
+                rows[y][x] = "#"
+    for ch, (x, y) in marks.items():
+        rows[y][x] = ch
     return "\n".join("".join(row) for row in rows) + "\n"
 
 
 def test_solve_walled_off_push_target_is_no_solution(capsys, tmp_path):
-    # the room has far more states than the budget; the box cannot reach its
-    # target from any cell, so every mode answers "no result" at once
+    # each room has far more states than the budget; the ring keeps the box
+    # from its target, or the agent from its goal, so every mode answers
+    # "no result" at once
+    rooms = (
+        _ringed_room({"S": (0, 0), "B": (5, 5), "T": (37, 37), "G": (39, 39)}, (36, 36, 38, 38)),
+        _ringed_room({"S": (0, 0), "B": (5, 5), "T": (8, 5), "G": (30, 30)}, (28, 28, 32, 32)),
+    )
     env = tmp_path / "room.env"
-    env.write_text(_walled_off_room())
-    for extra, out in (((), "NO SOLUTION\n"), (("--enumerate",), "TOTAL 0\n"),
-                       (("--forbid", "1,1"), "NO SOLUTION\n")):
-        assert run(capsys, "solve", str(env), *extra) == (1, out, "")
+    for room in rooms:
+        env.write_text(room)
+        for extra, out in (((), "NO SOLUTION\n"), (("--enumerate",), "TOTAL 0\n"),
+                           (("--forbid", "1,1"), "NO SOLUTION\n")):
+            assert run(capsys, "solve", str(env), *extra) == (1, out, "")
 
 
 def test_solve_enumerate_all(capsys, tmp_path):

@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -47,7 +48,7 @@ def test_environment_validation():
     with pytest.raises(InvalidEnvError):
         Environment.from_text("S.G\nB..\n")  # box without target
     env = Environment.from_text("S.G\n.B.\n..T\n")
-    assert env.kind == "PushPuzzle"
+    assert env.box == (1, 1)
     assert Environment.from_text("S" + "." * 254 + "G\n").width == 256
     with pytest.raises(InvalidEnvError):
         Environment.from_text("S" + "." * 255 + "G\n")  # 257 wide
@@ -93,9 +94,13 @@ def test_push_state_graph_matches_brute_force():
         for s in space.states:
             assert space.transitions[s] == legal_successors(env, s)
         assert [space.node_of[s] for s in space.states] == list(range(len(space.states)))
-        assert sorted((s, t) for s, ts in space.transitions.items() for t in ts) == sorted(
-            (space._state[s], space._state[t]) for t, ss in space._preds.items() for s in ss
-        )
+        view = space.view()
+        assert view.transitions == {
+            space.node_of[s]: [space.node_of[t] for t in ts]
+            for s, ts in space.transitions.items()
+        }
+        goal = {space.node_of[env.goal_state]} if goal_reachable(env) else set()
+        assert view.targets == goal
 
 
 def test_prune_corridor_nothing():
@@ -128,13 +133,25 @@ def test_prune_cornered_box():
 
 def test_prune_matches_oracle_random():
     rng = random.Random(31)
-    checked = 0
-    while checked < 40:
-        env = Environment.from_text(random_maze_text(rng, 6, 6, 0.35))
+    envs = [
+        Environment.from_text(
+            random_maze_text(rng, rng.randint(2, 12), rng.randint(1, 12), rng.uniform(0, 0.5))
+        )
+        for _ in range(80)
+    ]
+    while len(envs) < 120:
+        size = rng.randint(3, 6)
+        text = random_push_text(rng, size, size, rng.uniform(0, 0.3))
+        if text is not None:
+            envs.append(Environment.from_text(text))
+    for env in envs:
         space = StateSpace(env)
         sessions = SessionStack(space.graph)
-        assert prune_deadlocks(space, sessions) == deadlock_oracle(env)
-        checked += 1
+        dead = prune_deadlocks(space, sessions)
+        assert dead == deadlock_oracle(env)
+        assert set(sessions.inhibited_nodes()) == {space.node_of[s] for s in dead}
+    assert sum(env.height == 1 for env in envs) >= 3  # corridors
+    assert sum(not goal_reachable(env) for env in envs if env.box is None) >= 3
 
 
 def test_prune_never_kills_solution_states():
@@ -348,29 +365,37 @@ def test_push_puzzle_corner_start_unsolvable():
 
 
 def test_push_box_on_dead_square_is_answered_without_search():
-    # the target sits in a closed ring of walls, so no cell outside it is live
-    text = "S......\n.B.....\n.......\n....###\n....#T#\n....###\n......G\n"
-    for run in (solve, enumerate_solutions,
-                lambda space: solve_with_constraints(space, {(0, 1)})):
-        space = StateSpace(Environment.from_text(text))
-        assert run(space) in (NoSolution(), [])
-        assert space._succ == {}
+    # a closed ring of walls holds the box target (no cell outside it is
+    # live for the box) or the agent goal (the agent cannot reach it)
+    rooms = "....###\n....#T#\n....###\n......G\n", "..T....\n....###\n....#G#\n....###\n"
+    for room in rooms:
+        text = "S......\n.B.....\n.......\n" + room
+        for run in (solve, enumerate_solutions,
+                    lambda space: solve_with_constraints(space, {(0, 1)})):
+            space = StateSpace(Environment.from_text(text))
+            assert run(space) in (NoSolution(), [])
+            assert space._succ == {}
 
 
 def test_push_dead_square_is_sound_random():
-    # a box declared dead never has a solution; the check must also fire
+    # a puzzle declared unsolvable never has a solution; the check must also
+    # fire, and always does when walls alone keep the agent from its goal
     rng = random.Random(83)
-    dead = 0
+    dead = cut = 0
     for _ in range(300):
         size = rng.randint(3, 6)
         text = random_push_text(rng, size, size, rng.uniform(0, 0.35))
         if text is None:
             continue
         env = Environment.from_text(text)
-        if StateSpace(env)._box_dead():
+        walled = bfs_distance(replace(env, box=None, box_target=None)) is None
+        cut += walled
+        if StateSpace(env)._cut_off():
             dead += 1
             assert bfs_distance(env) is None, text
-    assert dead >= 30
+        else:
+            assert not walled, text
+    assert dead >= 30 and cut >= 10
 
 
 def test_push_random_solvable_iff_oracle():
