@@ -16,18 +16,18 @@ look a node's links up with `.get(n, ())`.
 
 Roles are (dx, dy) integer offsets of the child's anchor inside the
 parent's frame; ordinal positions (state sequences) are encoded as (i, 0).
-A node's children are stored as one sorted list of distinct (child, role)
-pairs, and that tuple is the node's key in the composite index, on every
-path into the graph: `create_composite` builds it so, and so does import.
+A node's children are stored as one sorted tuple of distinct (child, role)
+pairs, which is also its key in the composite index; `_attach` stores it
+on both paths into the graph, `create_composite` and import. A child
+exists before its parent takes the next id, so a child's id is always
+below its parent's, and the graph has no cycle.
 
 In the `CGRAPH 1` text format a record is whitespace-separated fields,
 and a node's label is the rest of its `N` line: bare when it is non-empty
 and has no whitespace and no double quote, otherwise double-quoted with
-the escapes listed at `_ESCAPES`. `import_text` reads a file in one pass:
-it reads every record, checks that each `C` record joins known nodes,
-groups the links per parent, and orders the distinct parent -> child pairs
-once with Kahn's algorithm, so a cycle is a `ParseError` that names the
-line of a link on it.
+the escapes listed at `_ESCAPES`. `import_text` reads a file in one pass
+and loads only what `create_atom` and `create_composite` could have built,
+so a `C` record whose child id is not below its parent's is a `ParseError`.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from __future__ import annotations
 import contextlib
 import os
 import re
-from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 
@@ -87,7 +86,7 @@ def _pair(a: int, b: int) -> tuple[int, int]:
 class ConceptGraph:
     def __init__(self):
         self.nodes: dict[int, ConceptNode] = {}
-        self._children: dict[int, list[tuple[int, Role]]] = {}
+        self._children: dict[int, tuple[tuple[int, Role], ...]] = {}
         self._parents: dict[int, set[int]] = {}
         self._composite_index: dict[tuple, int] = {}
         self.excitatory: dict[tuple[int, int], int] = {}
@@ -118,9 +117,12 @@ class ConceptGraph:
         return self._new_node(NodeKind.PRIMITIVE, label, scale)
 
     def create_atom(self, kind: NodeKind, label: str = "", scale: int = 1) -> int:
-        """Childless node of an arbitrary kind (states, transformations)."""
+        """Childless node of any kind but a composite one (states,
+        transformations)."""
         if scale < 1:
             raise ValueError("scale must be positive")
+        if kind in (NodeKind.COMPOSITE, NodeKind.SOLUTION):
+            raise ValueError(f"a {kind.value} node needs children")
         return self._new_node(kind, label, scale)
 
     def create_atoms(self, kind: NodeKind, labels: list[str]) -> range:
@@ -137,23 +139,31 @@ class ConceptGraph:
         kind: NodeKind = NodeKind.COMPOSITE,
         label: str = "",
     ) -> int:
-        children = sorted(set(children))
-        if len(children) < 2:
-            raise ArityError(f"composite needs >= 2 children, got {len(children)}")
-        for child, _role in children:
+        key = tuple(sorted(set(children)))
+        if len(key) < 2:
+            raise ArityError(f"composite needs >= 2 children, got {len(key)}")
+        for child, _role in key:
             self.node(child)
-        key = tuple(children)
         existing = self._composite_index.get(key)
         if existing is not None:
             return existing
-        scale = sum(self.nodes[c].scale for c, _ in children)
+        scale = sum(self.nodes[c].scale for c, _ in key)
         node_id = self._new_node(kind, label, scale)
-        # a fresh node has no parents, so its links cannot close a cycle
-        self._children[node_id] = children
-        for child, _role in children:
-            self._parents.setdefault(child, set()).add(node_id)
-        self._composite_index[key] = node_id
+        self._attach(node_id, key)
         return node_id
+
+    def _attach(self, node_id: int, key: tuple[tuple[int, Role], ...]) -> None:
+        """Store `key`, a sorted tuple of distinct (child, role) pairs whose
+        children all have ids below `node_id`, as that node's links."""
+        self._children[node_id] = key
+        parents = self._parents
+        for child, _role in key:
+            linked = parents.get(child)
+            if linked is None:
+                parents[child] = {node_id}
+            else:
+                linked.add(node_id)
+        self._composite_index[key] = node_id
 
     # -- associations ------------------------------------------------------
 
@@ -251,15 +261,15 @@ class ConceptGraph:
     @classmethod
     def import_text(cls, text: str) -> "ConceptGraph":
         """Parse a `CGRAPH 1` text in one pass and build the graph that
-        `create_composite` would have built.
+        `create_atom` and `create_composite` would have built.
 
-        Every record is read first. Then each `C` record must join two
-        declared nodes (checked in file order), each parent's links are
-        stored as one sorted list of distinct (child, role) pairs, and one
-        Kahn pass orders the distinct parent -> child pairs. A node left
-        unordered lies on or below a cycle; the `ParseError` then names the
-        line of a link on the cycle. Any malformed record is a `ParseError`
-        naming its line.
+        Every record is read first. Then each `C` record must place a known
+        child whose id is below its parent's (checked in file order), so no
+        cycle can load. Then, in id order, a node with no links must be one
+        `create_atom` makes, and a node with links one `create_composite`
+        makes: at least 2 distinct (child, role) pairs, a child set no
+        earlier node has, and a scale that is the sum of its children's.
+        Any record that breaks a rule is a `ParseError` naming its line.
         """
         lines = text.splitlines()
         if not lines or lines[0].strip() != "CGRAPH 1":
@@ -267,6 +277,7 @@ class ConceptGraph:
         g = cls()
         kinds = {k.value: k for k in NodeKind}
         links: list[tuple[int, int, int, Role]] = []  # line, parent, child, role
+        node_lines: list[int] = []  # each node's N line
         for line_no, raw in enumerate(lines[1:], start=2):
             line = raw.strip()
             if not line:
@@ -287,12 +298,17 @@ class ConceptGraph:
                         raise ParseError(line_no, f"unknown kind {kind_name!r}")
                     if node_id != len(g.nodes):
                         raise ParseError(line_no, f"node ids must be dense, got {node_id}")
+                    if scale < 1:
+                        raise ParseError(line_no, f"scale must be >= 1, got {scale}")
                     g._new_node(kinds[kind_name], label, scale)
+                    node_lines.append(line_no)
                 elif tag == "E":
                     _, a, b, w = fields
                     ia, ib, iw = int(a), int(b), int(w)
                     if ia not in g.nodes or ib not in g.nodes:
                         raise ParseError(line_no, "excitatory link to unknown node")
+                    if ia == ib:
+                        raise ParseError(line_no, "excitatory link must join distinct nodes")
                     if iw < 1:
                         raise ParseError(line_no, f"weight must be >= 1, got {iw}")
                     g.excitatory[_pair(ia, ib)] = iw
@@ -310,44 +326,30 @@ class ConceptGraph:
                 raise
             except (ValueError, IndexError) as exc:
                 raise ParseError(line_no, f"malformed record: {exc}") from None
-        nodes = g.nodes
-        # each node's links while reading; only the linked nodes' are kept
+        nodes, count = g.nodes, len(g.nodes)
         grouped: list[list[tuple[int, Role]]] = [[] for _ in nodes]
         for line_no, parent, child, role in links:
-            if parent not in nodes or child not in nodes:
-                raise ParseError(line_no, f"composition link to unknown node {parent}->{child}")
+            if not 0 <= child < parent < count:
+                rule = "unknown node" if child < parent else "child id not below parent id"
+                raise ParseError(line_no, f"composition link {parent}->{child}: {rule}")
             grouped[parent].append((child, role))
-        children, parents = g._children, defaultdict(set)
-        for parent, entries in enumerate(grouped):  # in id order, as create_composite adds them
-            if entries:
-                entries = children[parent] = sorted(set(entries))
-                g._composite_index.setdefault(tuple(entries), parent)
-                for child, _role in entries:
-                    parents[child].add(parent)
-        g._parents = dict(parents)
-        g._check_acyclic(links)
+        scales = [node.scale for node in nodes.values()]
+        for node_id, entries in enumerate(grouped):  # in id order, children first
+            node = nodes[node_id]
+            if not entries and node.kind not in (NodeKind.COMPOSITE, NodeKind.SOLUTION):
+                continue  # an atom, as create_atom makes
+            key = tuple(sorted(set(entries)))
+            if len(key) < 2:
+                problem = f"needs 2 or more children, has {len(key)}"
+            elif key in g._composite_index:
+                problem = f"has the same children as node {g._composite_index[key]}"
+            elif node.scale != sum([scales[c] for c, _role in key]):
+                problem = f"has scale {node.scale}, not the sum of its children's"
+            else:
+                g._attach(node_id, key)
+                continue
+            raise ParseError(node_lines[node_id], f"node {node_id} {problem}")
         return g
-
-    def _check_acyclic(self, links: list[tuple[int, int, int, Role]]) -> None:
-        """Kahn's algorithm over the distinct parent -> child pairs: a node
-        is ordered once all its parents are. If some are left, each of them
-        has a parent left, so walking up from one reaches a node twice."""
-        waiting = {n: len(parents) for n, parents in self._parents.items()}
-        ready = [n for n in self._children if n not in waiting]
-        while ready:
-            for child in {c for c, _role in self._children.get(ready.pop(), ())}:
-                waiting[child] -= 1
-                if waiting[child] == 0:
-                    ready.append(child)
-        left = [n for n, count in waiting.items() if count]
-        if not left:
-            return
-        child, parent, walked = None, min(left), set()
-        while parent not in walked:
-            walked.add(parent)
-            child, parent = parent, min(p for p in self._parents[parent] if waiting.get(p))
-        line_no = next(ln for ln, p, c, _role in links if (p, c) == (parent, child))
-        raise ParseError(line_no, f"composition link {parent}->{child} closes a cycle")
 
 
 _NEEDS_QUOTES = re.compile(r'[\s"]')

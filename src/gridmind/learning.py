@@ -325,25 +325,19 @@ class Learner:
 
     # node helpers
 
-    def _symbol_node(self, sym: str, counter: list[int]) -> int:
+    def _symbol_node(self, sym: str) -> int:
         node_id = self._symbol_nodes.get(sym)
         if node_id is None:
             node_id = self.graph.create_primitive(PRIMITIVE_PREFIX + sym, 1)
             self._symbol_nodes[sym] = node_id
-            counter[0] += 1
-        else:
-            counter[1] += 1
         return node_id
 
-    def _feature_node(self, feat: FeatureInstance, counter: list[int]) -> int:
-        prim = self._symbol_node(feat.symbol, counter)
+    def _feature_node(self, feat: FeatureInstance) -> int:
+        prim = self._symbol_node(feat.symbol)
         if feat.offsets == frozenset([(0, 0)]):
             return prim
         children = [(prim, off) for off in sorted(feat.offsets)]
-        before = len(self.graph)
-        node_id = self.graph.create_composite(children)
-        counter[0 if len(self.graph) > before else 1] += 1
-        return node_id
+        return self.graph.create_composite(children)
 
     def _lookup_feature_node(self, feat: FeatureInstance) -> int | None:
         prim = self._symbol_nodes.get(feat.symbol)
@@ -366,19 +360,22 @@ class Learner:
     def observe(self, g: Grid) -> ObserveReport:
         if g.is_empty():
             raise EmptyInputError("observe requires at least one occupied cell")
-        counter = [0, 0]  # created, reused
+        before = len(self.graph)
         features = extract_features(g)
-        instances = [(self._feature_node(f, counter), f.anchor) for f in features]
+        instances = [(self._feature_node(f), f.anchor) for f in features]
+        # one lookup per feature, one more per multi-cell feature and one
+        # for a root over two or more instances; each creates at most a node
+        lookups = len(features) + sum(len(f.offsets) > 1 for f in features)
         if len(instances) == 1:
             root = instances[0][0]
         else:
             px, py = g.anchor()
             children = [(n, (ax - px, ay - py)) for n, (ax, ay) in instances]
-            before = len(self.graph)
             root = self.graph.create_composite(children)
-            counter[0 if len(self.graph) > before else 1] += 1
+            lookups += 1
         self.graph.record_association(sorted({n for n, _ in instances}))
-        return ObserveReport(root, counter[0], counter[1])
+        created = len(self.graph) - before
+        return ObserveReport(root, created, lookups - created)
 
     def _expand(self, root: int) -> dict[Coord, str]:
         """Cells of `root` in its own frame, expanding each node once and
@@ -395,8 +392,11 @@ class Learner:
         stack = [root]
         while stack:
             node_id = stack.pop()
-            if nodes[node_id].kind not in _GRID_KINDS:
+            kind = nodes[node_id].kind
+            if kind not in _GRID_KINDS:
                 raise LearningError(f"node {node_id} is not a grid concept")
+            if kind is NodeKind.PRIMITIVE:
+                continue  # one cell, whatever it places
             for child in {c for c, _ in graph_children.get(node_id, ())}:
                 if child in needed:
                     needed[child] += 1
@@ -404,22 +404,13 @@ class Learner:
                     needed[child] = 1
                     stack.append(child)
         memo: dict[int, dict[Coord, str]] = {}
-        stack = [root]
-        while stack:
-            node_id = stack[-1]
-            if node_id in memo:
-                stack.pop()
-                continue
+        for node_id in sorted(needed):  # a child's id is below its parents'
             node = nodes[node_id]
             children = graph_children.get(node_id, ())
             if node.kind is NodeKind.PRIMITIVE or not children:
                 if node.kind is not NodeKind.PRIMITIVE or not node.label.startswith(PRIMITIVE_PREFIX):
                     raise LearningError(f"node {node_id} is not a grid concept")
                 memo[node_id] = {(0, 0): node.label[len(PRIMITIVE_PREFIX):]}
-                continue
-            pending = [c for c, _ in children if c not in memo]
-            if pending:
-                stack.extend(reversed(pending))
                 continue
             cells: dict[Coord, str] = {}
             for child, (dx, dy) in children:

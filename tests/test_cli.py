@@ -67,17 +67,17 @@ def test_show_unknown_node_is_input_error(capsys, ring_file, tmp_path):
 
 
 def test_show_deep_composite_chain(capsys, tmp_path):
-    # node i places node i-1 and the primitive at (0, 0): 1500 levels deep,
-    # and the primitive is shared by every level
+    # node i places node i-1 at (0, 0) and the primitive at (1, 0): 1500
+    # levels deep, each of scale i + 1, and the primitive is shared by every level
     depth = 1500
     lines = ["CGRAPH 1", "N 0 Primitive 1 cell:x"]
-    lines += [f'N {i} Composite 1 ""' for i in range(1, depth + 1)]
+    lines += [f'N {i} Composite {i + 1} ""' for i in range(1, depth + 1)]
     for i in range(1, depth + 1):
-        lines += [f"C {i} {i - 1} 0 0", f"C {i} 0 0 0"]
+        lines += [f"C {i} {i - 1} 0 0", f"C {i} 0 1 0"]
     graph = tmp_path / "chain.cg"
     graph.write_text("\n".join(lines) + "\n")
     code, out, err = run(capsys, "show", str(depth), "--graph", str(graph))
-    assert (code, out, err) == (0, "x\n", "")
+    assert (code, out, err) == (0, "xx\n", "")
 
 
 def test_show_oversized_composite_is_input_error(capsys, tmp_path):
@@ -112,9 +112,7 @@ def test_show_doubling_chain_stops_at_max_dim(capsys, tmp_path):
     assert peak < 2 * 2**20
 
 
-@pytest.mark.parametrize(
-    "record", ["N 0 State 1 s", "N 0 Primitive 1 action:go", 'N 0 Composite 1 ""']
-)
+@pytest.mark.parametrize("record", ["N 0 State 1 s", "N 0 Primitive 1 action:go"])
 def test_show_non_grid_node_is_input_error(capsys, tmp_path, record):
     graph = tmp_path / "node.cg"
     graph.write_text(f"CGRAPH 1\n{record}\n")
@@ -392,6 +390,10 @@ _GRAPH_RECORDS = [
     b"N 0 Primitive 1 cell:x", b'N 1 Composite 2 ""', b"N 2 Primitive 1 cell:\\",
     b'N 3 State 1 "a\\u000ab"', b"C 1 0 0 0", b"C 1 2 1 0", b"C 1 0 300 0", b"C 2 1 0 0",
     b"C 3 1 0 0", b"C 0 2 0 0", b"N 2 Transformation 1 rotate90:1", b"M 0 1", b"E 0 2 1",
+    # records that break a rule of construction, and a whole graph to break
+    b'N 1 Composite 1 ""', b'N 1 Composite 99 ""', b"N 0 Primitive 0 cell:x", b"E 0 0 1",
+    b"C 2 2 0 0", b'N 0 Primitive 1 cell:x\nN 1 Composite 2 ""\nC 1 0 0 0\nC 1 0 1 0',
+    b'N 2 Composite 2 ""\nC 2 0 0 0\nC 2 0 1 0',
 ]
 PATTERN_BYTES = st.one_of(st.binary(max_size=24), _text_bytes("ab.x \n'\\\"\t"))
 ENV_BYTES = st.one_of(st.binary(max_size=24), _text_bytes("SGBT.# \n"))

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridmind import ConceptGraph, NodeKind, SessionStack
+from gridmind.cli import main
 from gridmind.graph import ArityError, ParseError, SelfMutexError
 from oracles import inhibition_closure_oracle, legacy_quote, links_on_cycles
 
@@ -155,47 +156,144 @@ def test_dangling_child_is_parse_error():
     assert "line 3" in str(exc.value)
 
 
-def _link_records(rng: random.Random, n: int, back_edges: int, self_links: int) -> list[tuple]:
-    """Random composition links among n nodes: each goes down a random
-    order of the nodes, plus the given number of links that go up it or
-    join a node to itself; some records are repeated, with or without a
-    new role."""
-    order = rng.sample(range(n), n)
-    pairs = [tuple(rng.sample(order, 2)) for _ in range(rng.randint(0, 3 * n))]
-    links = [(p, c) if order.index(p) < order.index(c) else (c, p) for p, c in pairs]
-    links += [tuple(rng.sample(order, 2)) for _ in range(back_edges)]
-    links += [(x, x) for x in rng.sample(order, self_links)]
-    records = [(p, c, rng.randint(-2, 2), rng.randint(-2, 2)) for p, c in links]
-    records += [rng.choice(records)[:2] + (rng.randint(-2, 2), 0) for _ in range(len(records) // 3)]
-    records += rng.sample(records, len(records) // 4)
-    rng.shuffle(records)
-    return records
+# Files that no sequence of `create_atom` and `create_composite` calls
+# could have written, and the line each is refused at.
+_UNCONSTRUCTIBLE = {
+    "one-child": ('N 0 Primitive 1 cell:x\nN 1 Composite 1 ""\nC 1 0 0 0', 3),
+    "scale-not-sum": ('N 0 Primitive 1 cell:x\nN 1 Composite 99 ""\nC 1 0 0 0\nC 1 0 1 0', 3),
+    "same-children": (
+        'N 0 Primitive 1 cell:x\nN 1 Composite 2 ""\nN 2 Composite 2 ""\n'
+        "C 1 0 0 0\nC 1 0 1 0\nC 2 0 1 0\nC 2 0 0 0",
+        4,
+    ),
+    "zero-scale": ("N 0 Primitive 0 cell:x", 2),
+    "child-above-parent": ('N 0 Composite 2 ""\nN 1 Primitive 1 cell:x\nC 0 1 0 0\nC 0 1 1 0', 4),
+    "childless-composite": ('N 0 Composite 1 ""', 2),
+    "childless-solution": ('N 0 Primitive 1 cell:x\nN 1 SolutionConcept 1 ""', 3),
+    "self-excitatory": ("N 0 Primitive 1 cell:x\nE 0 0 1", 3),
+    "self-composition": ("N 0 Composite 1 a\nC 0 0 0 0", 3),
+    "two-node-cycle": (
+        'N 0 Primitive 1 cell:x\nN 1 Composite 2 ""\nN 2 Composite 3 ""\n'
+        "C 1 0 0 0\nC 1 2 0 0\nC 2 1 0 0\nC 2 0 1 0",
+        6,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "records, line_no", list(_UNCONSTRUCTIBLE.values()), ids=list(_UNCONSTRUCTIBLE)
+)
+def test_import_refuses_what_construction_cannot_build(capsys, tmp_path, records, line_no):
+    text = f"CGRAPH 1\n{records}\n"
+    with pytest.raises(ParseError) as exc:
+        ConceptGraph.import_text(text)
+    assert exc.value.line_no == line_no
+    path = tmp_path / "kb.cg"
+    path.write_text(text)
+    assert main(["graph", "import", str(path)]) == 2
+    assert f": line {line_no}: " in capsys.readouterr().err
+
+
+def test_create_atom_refuses_composite_kinds():
+    g = ConceptGraph()
+    for kind in (NodeKind.COMPOSITE, NodeKind.SOLUTION):
+        with pytest.raises(ValueError):
+            g.create_atom(kind, "x")
+    assert len(g) == 0
+
+
+def _constructed(rng: random.Random) -> ConceptGraph:
+    """Atoms and composites built in a random order, with associations."""
+    g = ConceptGraph()
+    for i in range(rng.randint(1, 3)):
+        g.create_atom(rng.choice([NodeKind.PRIMITIVE, NodeKind.STATE]), f"a{i}", rng.randint(1, 3))
+    for i in range(rng.randint(2, 14)):
+        pool = g.node_ids()
+        if rng.random() < 0.3:
+            g.create_atom(NodeKind.TRANSFORMATION, f"t{i}", rng.randint(1, 3))
+            continue
+        children = [(rng.choice(pool), (rng.randint(-1, 1), 0)) for _ in range(rng.randint(2, 4))]
+        if len(set(children)) >= 2:
+            g.create_composite(children, rng.choice([NodeKind.COMPOSITE, NodeKind.SOLUTION]))
+    for _ in range(rng.randint(0, 4)):
+        g.record_association(rng.sample(g.node_ids(), 2))
+    return g
+
+
+_DEFECTS = ["one-child", "scale", "same-children", "zero-scale", "up-link", "childless", "self-E"]
+
+
+def _inject(rng: random.Random, g: ConceptGraph, nodes: list[str], rest: list[str], defect: str):
+    """Break one rule of construction in the records of `g`; returns the
+    record the error must name, or None if `g` has no place for `defect`."""
+    composites = [n for n in g.node_ids() if g.children_of(n)]
+    if defect == "up-link":  # a self-link, a cycle, or a link to a later node
+        parent = rng.choice(g.node_ids())
+        bad = f"C {parent} {rng.randint(parent, len(g) - 1)} 0 0"
+        rest.append(bad)
+        return bad
+    if defect == "self-E":
+        n = rng.choice(g.node_ids())
+        rest.append(f"E {n} {n} 1")
+        return rest[-1]
+    if defect == "zero-scale":
+        n = rng.choice(g.node_ids())
+        kind = g.nodes[n].kind.value
+        nodes[n] = nodes[n].replace(f"N {n} {kind} {g.nodes[n].scale} ", f"N {n} {kind} 0 ")
+        return nodes[n]
+    if not composites:
+        return None
+    k = rng.choice(composites)
+    node = g.nodes[k]
+    if defect == "same-children":
+        n = len(g)
+        nodes.append(f'N {n} Composite {node.scale} ""')
+        rest += [f"C {n} {c} {dx} {dy}" for c, (dx, dy) in g.children_of(k)]
+        return nodes[-1]
+    if defect == "scale":
+        scale = node.scale + rng.choice([-1, 1, 97])
+        if scale < 1:
+            return None
+        nodes[k] = f"N {k} {node.kind.value} {scale} {nodes[k].split(None, 4)[4]}"
+        return nodes[k]
+    links = [r for r in rest if r.startswith(f"C {k} ")]
+    rest[:] = [r for r in rest if r not in links]
+    if defect == "one-child":
+        rest += [rng.choice(links)] * rng.randint(1, 2)
+    return nodes[k]
 
 
 def test_import_rejects_exactly_the_cyclic_link_sets_random():
+    """A shuffled construction replay loads, and exports as the graph it
+    came from; the same records with one rule of construction broken are
+    refused at the line that breaks it. Every cyclic link set is refused."""
     rng = random.Random(29)
-    rejected = 0
-    for case in range(400):
-        n = rng.randint(2, 12)
-        back_edges = rng.randint(0, 2) if case % 2 else 0
-        self_links = rng.randint(0, 1) if case % 3 == 0 else 0
-        records = _link_records(rng, n, back_edges, self_links)
-        lines = ["CGRAPH 1"] + [f'N {i} Composite 1 ""' for i in range(n)]
-        lines += [f"C {p} {c} {dx} {dy}" for p, c, dx, dy in records]
-        on_cycles = links_on_cycles([(p, c) for p, c, _, _ in records])
-        if not on_cycles:
-            g = ConceptGraph.import_text("\n".join(lines) + "\n")
-            for i in range(n):
-                placed = {(c, (dx, dy)) for p, c, dx, dy in records if p == i}
-                assert g.children_of(i) == sorted(placed)
-                assert g.parents_of(i) == {p for p, c, _, _ in records if c == i}
+    refused, cyclic = {defect: 0 for defect in _DEFECTS}, 0
+    for case in range(600):
+        g = _constructed(rng)
+        text = g.export_text()
+        records = text.splitlines()[1:]
+        nodes = [r for r in records if r.startswith("N ")]
+        rest = [r for r in records if not r.startswith("N ")]
+        rest += [r for r in rest if r.startswith("C ") and rng.random() < 0.3]
+        defect = rng.choice(_DEFECTS) if case % 4 else None
+        bad = _inject(rng, g, nodes, rest, defect) if defect else None
+        rng.shuffle(rest)
+        lines = ["CGRAPH 1", *nodes, *rest]
+        links = [tuple(map(int, r.split()[1:3])) for r in rest if r.startswith("C ")]
+        if bad is None:
+            assert not links_on_cycles(links)
+            assert ConceptGraph.import_text("\n".join(lines) + "\n").export_text() == text
             continue
-        rejected += 1
+        refused[defect] += 1
         with pytest.raises(ParseError) as exc:
             ConceptGraph.import_text("\n".join(lines) + "\n")
-        _, parent, child, _, _ = lines[exc.value.line_no - 1].split()
-        assert (int(parent), int(child)) in on_cycles
-    assert 100 < rejected < 300
+        assert exc.value.line_no == lines.index(bad) + 1
+        if links_on_cycles(links):
+            assert defect == "up-link"
+            cyclic += 1
+    assert min(refused.values()) > 30, refused
+    assert cyclic > 10
 
 
 def test_unsorted_duplicated_records_import_as_create_composite_builds():
