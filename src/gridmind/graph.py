@@ -137,7 +137,6 @@ class ConceptGraph:
         self,
         children: list[tuple[int, Role]],
         kind: NodeKind = NodeKind.COMPOSITE,
-        label: str = "",
     ) -> int:
         key = tuple(sorted(set(children)))
         if len(key) < 2:
@@ -148,7 +147,7 @@ class ConceptGraph:
         if existing is not None:
             return existing
         scale = sum(self.nodes[c].scale for c, _ in key)
-        node_id = self._new_node(kind, label, scale)
+        node_id = self._new_node(kind, scale=scale)
         self._attach(node_id, key)
         return node_id
 

@@ -107,35 +107,22 @@ def extract_features(g: Grid) -> list[FeatureInstance]:
             )
         }
         interior = cells - boundary
+        ordered = sorted(boundary, key=lambda p: (p[1], p[0]))
         covered: set[Coord] = set()
-        for x, y in sorted(boundary, key=lambda p: (p[1], p[0])):
-            if (x - 1, y) in boundary:
-                continue
-            run = [(x, y)]
-            while (run[-1][0] + 1, y) in boundary:
-                run.append((run[-1][0] + 1, y))
-            if len(run) >= 2:
-                features.append(
-                    FeatureInstance(
-                        sym, frozenset((i, 0) for i in range(len(run))), (x, y)
-                    )
-                )
-                covered.update(run)
-        for x, y in sorted(boundary, key=lambda p: (p[1], p[0])):
-            if (x, y - 1) in boundary:
-                continue
-            run = [(x, y)]
-            while (x, run[-1][1] + 1) in boundary:
-                run.append((x, run[-1][1] + 1))
-            if len(run) >= 2:
-                features.append(
-                    FeatureInstance(
-                        sym, frozenset((0, i) for i in range(len(run))), (x, y)
-                    )
-                )
-                covered.update(run)
-        for x, y in sorted(boundary - covered, key=lambda p: (p[1], p[0])):
-            features.append(FeatureInstance(sym, frozenset([(0, 0)]), (x, y)))
+        for dx, dy in ((1, 0), (0, 1)):
+            for x, y in ordered:
+                if (x - dx, y - dy) in boundary:
+                    continue
+                n = 1
+                while (x + n * dx, y + n * dy) in boundary:
+                    n += 1
+                if n >= 2:
+                    run = [(i * dx, i * dy) for i in range(n)]
+                    features.append(FeatureInstance(sym, frozenset(run), (x, y)))
+                    covered.update((x + rx, y + ry) for rx, ry in run)
+        for x, y in ordered:
+            if (x, y) not in covered:
+                features.append(FeatureInstance(sym, frozenset([(0, 0)]), (x, y)))
         seen: set[Coord] = set()
         for start in sorted(interior, key=lambda p: (p[1], p[0])):
             if start in seen:
@@ -315,32 +302,24 @@ class Learner:
 
     def __init__(self, graph: ConceptGraph | None = None):
         self.graph = graph if graph is not None else ConceptGraph()
-        self._symbol_nodes: dict[str, int] = {}
-        self._label_nodes: dict[str, int] = {}
+        # (kind, label) -> the first node of that kind with that label; a
+        # symbol's node is the `Primitive` labelled `cell:<symbol>`
+        self._labeled: dict[tuple[NodeKind, str], int] = {}
         for node in self.graph.nodes.values():
-            if node.kind is NodeKind.PRIMITIVE and node.label.startswith(PRIMITIVE_PREFIX):
-                self._symbol_nodes.setdefault(node.label[len(PRIMITIVE_PREFIX):], node.id)
             if node.label:
-                self._label_nodes.setdefault(node.label, node.id)
+                self._labeled.setdefault((node.kind, node.label), node.id)
 
     # node helpers
 
-    def _symbol_node(self, sym: str) -> int:
-        node_id = self._symbol_nodes.get(sym)
-        if node_id is None:
-            node_id = self.graph.create_primitive(PRIMITIVE_PREFIX + sym, 1)
-            self._symbol_nodes[sym] = node_id
-        return node_id
-
     def _feature_node(self, feat: FeatureInstance) -> int:
-        prim = self._symbol_node(feat.symbol)
+        prim = self.labeled_node(PRIMITIVE_PREFIX + feat.symbol)
         if feat.offsets == frozenset([(0, 0)]):
             return prim
         children = [(prim, off) for off in sorted(feat.offsets)]
         return self.graph.create_composite(children)
 
     def _lookup_feature_node(self, feat: FeatureInstance) -> int | None:
-        prim = self._symbol_nodes.get(feat.symbol)
+        prim = self._labeled.get((NodeKind.PRIMITIVE, PRIMITIVE_PREFIX + feat.symbol))
         if prim is None:
             return None
         if feat.offsets == frozenset([(0, 0)]):
@@ -349,10 +328,9 @@ class Learner:
         return self.graph.find_composite(children)
 
     def labeled_node(self, label: str, kind: NodeKind = NodeKind.PRIMITIVE) -> int:
-        node_id = self._label_nodes.get(label)
+        node_id = self._labeled.get((kind, label))
         if node_id is None:
-            node_id = self.graph.create_atom(kind, label, 1)
-            self._label_nodes[label] = node_id
+            node_id = self._labeled[kind, label] = self.graph.create_atom(kind, label, 1)
         return node_id
 
     # observe / reconstruct

@@ -28,9 +28,9 @@ inhibits deadlock states (states from which no goal state is reachable,
 plus iterated cul-de-sac cells in mazes), which needs the whole space and
 reads only its successor lists; a single solve does not, because no
 deadlock state lies on a shortest path. Solutions are registered as
-high-level concepts; a path whose solution concept is inhibited is
-skipped, so inhibiting a found solution makes the next run return an
-alternative.
+high-level concepts; each path found is looked up as its solution concept,
+and a path whose concept is inhibited is skipped, so inhibiting a found
+solution makes the next run return an alternative.
 """
 
 from __future__ import annotations
@@ -189,126 +189,61 @@ class _Cells(dict):
         return entry
 
 
-class _Names:
-    """One environment's state codes, and the concept nodes of coded states.
-
-    A maze state is the agent's cell index `y * width + x`; a push-puzzle
-    state is `agent * (width * height) + box`. `node` maps a state to its
-    concept node and `code` maps the node back. States are decoded and
-    labelled through one per-cell table of coordinates and `"x,y"` labels,
-    and `name_all` names states in one batch of childless graph atoms.
-    This holds no reference to the `StateSpace`, so `node_of` and
-    `state_of` close no reference cycle and a space is freed as soon as the
-    last reference to it goes.
-    """
-
-    def __init__(self, env: Environment, graph: ConceptGraph):
-        self.env = env
-        self.graph = graph
-        # a state's agent cell is `state // per_agent`, its box cell the rest
-        self.per_agent = env.width * env.height if env.box is not None else 1
-        self.cells = _Cells(env.width)
-        self.node: dict[int, int] = {}
-        self.code: dict[int, int] = {}
-
-    def cell(self, pos: tuple[int, int]) -> int:
-        """Index of the cell at `pos`, or -1 off the grid."""
-        x, y = pos
-        width = self.env.width
-        return y * width + x if 0 <= x < width and 0 <= y < self.env.height else -1
-
-    def encode(self, state: State) -> int:
-        if (state.box is None) != (self.env.box is None):
-            raise KeyError(state)
-        agent = self.cell(state.agent)
-        box = 0 if state.box is None else self.cell(state.box)
-        if agent < 0 or box < 0:
-            raise KeyError(state)
-        return agent * self.per_agent + box
-
-    def decode_all(self, codes: Iterable[int]) -> list[State]:
-        cells = self.cells
-        if self.env.box is None:
-            return [State(cells[c][0]) for c in codes]
-        per_agent = self.per_agent
-        return [State(cells[c // per_agent][0], cells[c % per_agent][0]) for c in codes]
-
-    def decode(self, code: int) -> State:
-        return self.decode_all((code,))[0]
-
-    def labels(self, codes: Iterable[int]) -> list[str]:
-        cells = self.cells
-        if self.env.box is None:
-            return ["state:" + cells[c][1] for c in codes]
-        per_agent = self.per_agent
-        return [f"state:{cells[c // per_agent][1]}:{cells[c % per_agent][1]}" for c in codes]
-
-    def name_all(self, codes: Iterable[int]) -> None:
-        """Give each unnamed state among `codes` (distinct) a concept node,
-        in the order given, in one batch."""
-        node = self.node
-        new = [c for c in codes if c not in node]
-        if new:
-            ids = self.graph.create_atoms(NodeKind.STATE, self.labels(new))
-            node.update(zip(new, ids))
-            self.code.update(zip(ids, new))
-
-    def name(self, code: int) -> int:
-        """The concept node of a state, created on first use."""
-        node = self.node.get(code)
-        if node is None:
-            self.name_all((code,))
-            node = self.node[code]
-        return node
-
-
 class _NodeOf(Mapping):
     """State -> concept node; a state's node is created on its first lookup."""
 
-    def __init__(self, names: _Names):
-        self._names = names
+    def __init__(self, space: StateSpace):
+        self._space = space
 
     def __getitem__(self, state: State) -> int:
-        return self._names.name(self._names.encode(state))
+        space = self._space
+        code = space._encode(state)
+        if code not in space._node:
+            space._name_all((code,))
+        return space._node[code]
 
     def __contains__(self, state) -> bool:
         try:
-            return self._names.encode(state) in self._names.node
+            return self._space._encode(state) in self._space._node
         except KeyError:
             return False
 
     def __iter__(self) -> Iterator[State]:
-        return iter(self._names.decode_all(self._names.node))
+        return iter(self._space._decode_all(self._space._node))
 
     def __len__(self) -> int:
-        return len(self._names.node)
+        return len(self._space._node)
 
 
 class _StateOf(Mapping):
     """Concept node -> state, over the states that have a node."""
 
-    def __init__(self, names: _Names):
-        self._names = names
+    def __init__(self, space: StateSpace):
+        self._space = space
 
     def __getitem__(self, node: int) -> State:
-        return self._names.decode(self._names.code[node])
+        return self._space._decode_all((self._space._code[node],))[0]
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._names.code)
+        return iter(self._space._code)
 
     def __len__(self) -> int:
-        return len(self._names.code)
+        return len(self._space._code)
 
 
 class StateSpace:
     """The states reachable in an environment, stepped into on demand.
 
-    Inside the space a state is one int, coded by `_names` (see `_Names`).
-    `_succ` maps each state a search has stepped from to the states one
-    move away, in `DIRECTIONS` order; `MAX_STATES` bounds its size. A push
-    puzzle's `_moves` is the cell table: for each free cell, the cell one
-    move away in each of the `DIRECTIONS`, or -1 where a wall or the border
-    blocks. A cell's row is filled the first time a search reaches the
+    Inside the space a state is one int (see the module docstring).
+    `_encode` and `_decode_all` convert between these ints and `State`
+    tuples through `_cells`, one per-cell table of coordinates and `"x,y"`
+    labels. `_node` maps a state to its concept node and `_code` maps the
+    node back; `_name_all` names states in one batch of childless graph
+    atoms. `_succ` maps each state a search has stepped from to the states
+    one move away, in `DIRECTIONS` order; `MAX_STATES` bounds its size. A
+    push puzzle's `_moves` is the cell table: for each free cell, the cell
+    one move away in each of the `DIRECTIONS`, or -1 where a wall or the
+    border blocks. A cell's row is filled the first time a search reaches the
     cell, so a short search in a large room pays only for the cells it
     touches, and every state with the agent on that cell reuses it. A maze
     state is its agent's cell and is stepped from once, so its successor
@@ -316,11 +251,14 @@ class StateSpace:
 
     `State` tuples appear only at the boundary. `node_of` gives a state its
     concept node the first time it is looked up, and `state_of` maps the
-    node back. `states`, `transitions` and `view()` build the whole
-    reachable space once, on first use, and name
-    every state not yet named in one batch, in breadth-first order. The
-    full build keeps only that order, `_order`, and the successor lists in
-    `_succ`; the views and `prune_deadlocks` derive all else from these.
+    node back. Each access makes a fresh read-only view over `_node` or
+    `_code`; the space stores no view, so it closes no reference cycle and
+    is freed as soon as the last reference to it goes. `states`,
+    `transitions` and `view()` build the whole reachable space once, on
+    first use, and name every state not yet named in one batch, in
+    breadth-first order. The full build keeps only that order, `_order`,
+    and the successor lists in `_succ`; the views and `prune_deadlocks`
+    derive all else from these.
     """
 
     def __init__(self, env: Environment, graph: ConceptGraph | None = None):
@@ -332,17 +270,65 @@ class StateSpace:
             raise InvalidEnvError("box or box target on a wall")
         self.env = env
         self.graph = graph if graph is not None else ConceptGraph()
-        self._names = names = _Names(env, self.graph)
+        # a state's agent cell is `state // _per_agent`, its box cell the rest
+        self._per_agent = env.width * env.height if env.box is not None else 1
+        self._cells = _Cells(env.width)
+        self._node: dict[int, int] = {}  # state -> its concept node
+        self._code: dict[int, int] = {}  # concept node -> its state
         self._moves: list[Optional[tuple[int, int, int, int]]] = (
-            [None] * names.per_agent if env.box is not None else []
+            [None] * self._per_agent if env.box is not None else []
         )
         self._succ: dict[int, list[int]] = {}
         # whether a push puzzle is unsolvable, once `_cut_off` asks
         self._dead: Optional[bool] = None if env.box is not None else False
-        self._start = names.encode(env.start_state)
-        self._goal = names.encode(env.goal_state)
-        self.node_of: Mapping[State, int] = _NodeOf(names)
-        self.state_of: Mapping[int, State] = _StateOf(names)
+        self._start = self._encode(env.start_state)
+        self._goal = self._encode(env.goal_state)
+
+    @property
+    def node_of(self) -> Mapping[State, int]:
+        return _NodeOf(self)
+
+    @property
+    def state_of(self) -> Mapping[int, State]:
+        return _StateOf(self)
+
+    def _cell(self, pos: tuple[int, int]) -> int:
+        """Index of the cell at `pos`, or -1 off the grid."""
+        x, y = pos
+        width = self.env.width
+        return y * width + x if 0 <= x < width and 0 <= y < self.env.height else -1
+
+    def _encode(self, state: State) -> int:
+        if (state.box is None) != (self.env.box is None):
+            raise KeyError(state)
+        agent = self._cell(state.agent)
+        box = 0 if state.box is None else self._cell(state.box)
+        if agent < 0 or box < 0:
+            raise KeyError(state)
+        return agent * self._per_agent + box
+
+    def _decode_all(self, codes: Iterable[int]) -> list[State]:
+        cells = self._cells
+        if self.env.box is None:
+            return [State(cells[c][0]) for c in codes]
+        per_agent = self._per_agent
+        return [State(cells[c // per_agent][0], cells[c % per_agent][0]) for c in codes]
+
+    def _name_all(self, codes: Iterable[int]) -> None:
+        """Give each unnamed state among `codes` (distinct) a concept node
+        labelled `state:x,y` (`state:x,y:bx,by` with a box), in the order
+        given, in one batch."""
+        node, cells = self._node, self._cells
+        new = [c for c in codes if c not in node]
+        if new:
+            if self.env.box is None:
+                labels = ["state:" + cells[c][1] for c in new]
+            else:
+                per_agent = self._per_agent
+                labels = [f"state:{cells[c // per_agent][1]}:{cells[c % per_agent][1]}" for c in new]
+            ids = self.graph.create_atoms(NodeKind.STATE, labels)
+            node.update(zip(new, ids))
+            self._code.update(zip(ids, new))
 
     def _row(self, cell: int) -> tuple[int, int, int, int]:
         """The cells one move from a free cell, in `DIRECTIONS` order (N, E,
@@ -364,7 +350,7 @@ class StateSpace:
         if self.env.box is None:  # a maze state is its cell, stepped from once
             succs = [cell for cell in self._row(state) if cell >= 0]
         else:
-            per_agent, table = self._names.per_agent, self._moves
+            per_agent, table = self._per_agent, self._moves
             agent, box = divmod(state, per_agent)
             moves = table[agent]
             if moves is None:
@@ -397,7 +383,7 @@ class StateSpace:
         the instance `__dict__` slows every attribute lookup of the state
         search that follows."""
         if self._dead is None:
-            env, table, cell_of = self.env, self._moves, self._names.cell
+            env, table, cell_of = self.env, self._moves, self._cell
             self._dead = False
             for mover, dest, pushed in (
                 (env.box, env.box_target, True),
@@ -436,12 +422,12 @@ class StateSpace:
                 if nxt not in seen:
                     seen.add(nxt)
                     order.append(nxt)
-        self._names.name_all(order)
+        self._name_all(order)
         return order
 
     @cached_property
     def states(self) -> list[State]:
-        return self._names.decode_all(self._order)
+        return self._decode_all(self._order)
 
     @cached_property
     def transitions(self) -> dict[State, list[State]]:
@@ -449,7 +435,7 @@ class StateSpace:
         return {state[s]: [state[t] for t in self._succ[s]] for s in self._order}
 
     def view(self) -> StateGraphView:
-        node = self._names.node
+        node = self._node
         transitions = {
             node[s]: [node[t] for t in self._succ[s]] for s in self._order
         }
@@ -471,28 +457,22 @@ def prune_deadlocks(
     Covers states from which the goal state is unreachable (the rule-C
     fixpoint closed over cycles, which inhibits e.g. every state with the
     box in a non-target corner) and, for mazes, iterated cul-de-sac cells.
-    Both are found on the full build's successor lists: the first by a
-    breadth-first search from the goal over the reversed lists, the second
-    by filling dead ends on the lists of the reachable states.
+    Both are found on the full build's successor lists. In a push puzzle
+    the first is a breadth-first search from the goal over the reversed
+    lists. In a maze every move can be undone, so either every reachable
+    state reaches the goal or none does, and no reversed lists are built;
+    the cul-de-sac cells are found by filling dead ends on the lists of the
+    reachable states.
     """
     order, succ = space._order, space._succ
-    preds: dict[int, list[int]] = {s: [] for s in order}
-    for s in order:
-        for t in succ[s]:
-            preds[t].append(s)
     # the full build leaves exactly the reachable states in `succ`
     queue = [space._goal] if space._goal in succ else []
-    alive = set(queue)
-    for s in queue:  # the list is the queue
-        for pred in preds[s]:
-            if pred not in alive:
-                alive.add(pred)
-                queue.append(pred)
     if space.env.box is None:
-        # A maze state is its agent's cell and every move can be undone, so a
-        # state's successors are its free neighbours. Filling dead ends has
-        # one result in any order, so filling only the reachable cells finds
-        # the reachable ones among the dead ends of the whole grid.
+        # A maze state is its agent's cell, so a state's successors are its
+        # free neighbours. Filling dead ends has one result in any order, so
+        # filling only the reachable cells finds the reachable ones among
+        # the dead ends of the whole grid.
+        alive = set(order) if queue else set()
         spared = (space._start, space._goal)
         degree = {s: len(succ[s]) for s in order}
         filled = [s for s, d in degree.items() if d <= 1 and s not in spared]
@@ -504,25 +484,25 @@ def prune_deadlocks(
                     if degree[n] == 1 and n not in spared:
                         filled.append(n)
         alive.difference_update(filled)
+    else:
+        preds: dict[int, list[int]] = {s: [] for s in order}
+        for s in order:
+            for t in succ[s]:
+                preds[t].append(s)
+        alive = set(queue)
+        for s in queue:  # the list is the queue
+            for pred in preds[s]:
+                if pred not in alive:
+                    alive.add(pred)
+                    queue.append(pred)
     dead = [s for s in order if s not in alive]
-    node = space._names.node
+    node = space._node
     for s in sorted(dead, key=node.__getitem__):
         if not sessions.is_inhibited(node[s]):
             sessions.inhibit(node[s])
             if trace is not None:
                 trace.emit("inhibit", space.graph.nodes[node[s]].label, sessions.depth)
-    return set(space._names.decode_all(dead))
-
-
-def _inhibited_sequences(space: StateSpace, sessions: SessionStack) -> set[tuple[int, ...]]:
-    out = set()
-    for n in sessions.inhibited_nodes():
-        node = space.graph.nodes.get(n)
-        if node is None or node.kind is not NodeKind.SOLUTION:
-            continue
-        entries = sorted(space.graph.children_of(n), key=lambda e: e[1][0])
-        out.add(tuple(child for child, _ in entries))
-    return out
+    return set(space._decode_all(dead))
 
 
 def _register_solution(space: StateSpace, nodes: tuple[int, ...]) -> int:
@@ -584,9 +564,9 @@ def _loopless_paths(
     first = None if blocked(start) else _shortest_path(space, start, blocked)
     if first is None:
         return
-    names = space._names
-    names.name_all(first)
-    key = tuple(map(names.node.__getitem__, first))
+    name_all, node = space._name_all, space._node
+    name_all(first)
+    key = tuple(map(node.__getitem__, first))
     candidates = [(len(first), key, first)]
     seen = {key}
     # the yielded paths as a prefix tree below the start state: the keys of
@@ -603,8 +583,8 @@ def _loopless_paths(
             if spur is None:
                 continue
             candidate = path[:i] + spur
-            names.name_all(candidate)
-            key = tuple(map(names.node.__getitem__, candidate))
+            name_all(candidate)
+            key = tuple(map(node.__getitem__, candidate))
             if key not in seen:
                 seen.add(key)
                 heapq.heappush(candidates, (len(candidate), key, candidate))
@@ -617,20 +597,21 @@ def _solutions(
     forbidden: Iterable[tuple[int, int]] = (),
 ) -> Iterator[Solution]:
     """Yield each path that avoids inhibited states and `forbidden` cells
-    and is not an inhibited solution."""
-    rejected = _inhibited_sequences(space, sessions)
-    names = space._names
-    inhibited = {names.code[n] for n in sessions.inhibited_nodes() if n in names.code}
-    cells = {names.cell(cell) for cell in forbidden} - {-1}
+    and is not an inhibited solution: every path's solution concept is
+    registered (or found, if it exists), and the path is skipped when that
+    concept is inhibited."""
+    code = space._code
+    inhibited = {code[n] for n in sessions.inhibited_nodes() if n in code}
+    cells = {space._cell(cell) for cell in forbidden} - {-1}
     blocked = inhibited.__contains__
     if cells:
-        per_agent = names.per_agent
+        per_agent = space._per_agent
         blocked = lambda s: s in inhibited or s // per_agent in cells
     for key, path in _loopless_paths(space, blocked):
-        if key in rejected:
-            continue
         concept = _register_solution(space, key)
-        states = names.decode_all(path)
+        if sessions.is_inhibited(concept):
+            continue
+        states = space._decode_all(path)
         if trace is not None:
             trace.emit("create_node", f"solution:{concept}", sessions.depth)
             trace.emit("solution", ".".join(moves_of(states)), sessions.depth)

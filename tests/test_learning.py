@@ -13,6 +13,7 @@ from gridmind import (
     ConceptGraph,
     Grid,
     Learner,
+    NodeKind,
     SessionStack,
     Transformation,
     extract_features,
@@ -461,6 +462,32 @@ def test_learn_transformation_stores_concepts():
     assert (t.kind, t.dx, t.dy) == ("translate", 1, 0)
     action = learner.labeled_node("action:push-east")
     assert learner.graph.association_weight(node, action) == 1
+
+
+@pytest.mark.parametrize("label_first", [True, False])
+def test_labeled_node_and_observe_share_one_primitive(label_first):
+    learner = Learner()
+    g = Grid.from_text("xx\n")
+    if label_first:
+        learner.labeled_node("cell:x")
+        learner.observe(g)
+    else:
+        learner.observe(g)
+        learner.labeled_node("cell:x")
+    graph = learner.graph
+    assert [n.id for n in graph.nodes.values() if n.label == "cell:x"] == [0]
+    matches = learner.recognize(g)
+    assert matches
+    reloaded = Learner(ConceptGraph.import_text(graph.export_text()))
+    assert reloaded.recognize(g) == matches
+
+
+def test_symbol_node_is_a_primitive():
+    graph = ConceptGraph()
+    graph.create_atom(NodeKind.STATE, "cell:x")
+    report = Learner(graph).observe(Grid.from_text("x\n"))
+    assert report.root == 1
+    assert graph.nodes[1].kind is NodeKind.PRIMITIVE
 
 
 def test_match_under_transformations_rotated_shape():

@@ -1,7 +1,9 @@
 """Solver: state graphs, deadlock pruning, search, enumeration, constraints."""
 
+import gc
 import random
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -528,6 +530,30 @@ def test_full_build_keeps_names_given_during_search():
     assert all(space.node_of[s] == n for s, n in named.items())
     assert set(space.state_of) == set(space.node_of.values())
     assert len(space.view().states) == 8
+
+
+def test_dropped_space_is_freed_without_the_cycle_collector():
+    # `node_of` and `state_of` are views made on each access and the space
+    # keeps none of them, so the last reference going frees the space
+    gc.disable()
+    try:
+        refs = []
+        for text in ("S..\n.#.\n..G\n", "S.G\n.B.\n..T\n"):
+            env = Environment.from_text(text)
+            space = StateSpace(env)
+            solve(space)
+            enumerate_solutions(space, 3)
+            solve_with_constraints(space, {(1, 0)})
+            space.view()
+            node_of, state_of = space.node_of, space.state_of
+            start = node_of[env.start_state]
+            assert env.start_state in node_of and state_of[start] == env.start_state
+            assert len(list(node_of)) == len(node_of) == len(state_of) == len(list(state_of))
+            refs.append(weakref.ref(space))
+            del space, node_of, state_of
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_enumeration_names_states_in_breadth_first_order():
