@@ -14,6 +14,7 @@ import sys
 
 from .graph import ConceptGraph, GraphError
 from .grid import Grid, GridError
+from .inhibition import SessionStack
 from .interpretation import explain
 from .learning import Learner, LearningError
 from .solver import (
@@ -21,7 +22,6 @@ from .solver import (
     InvalidEnvError,
     NoSolution,
     StateSpace,
-    TraceRecorder,
     enumerate_solutions,
     solve,
     solve_with_constraints,
@@ -124,30 +124,37 @@ def _cmd_solve(args) -> int:
         if args.forbid:
             raise _CliInputError("--forbid cannot be combined with --enumerate")
     space = StateSpace(_load(args.env, Environment.from_text))
-    trace = TraceRecorder()
+    sessions = SessionStack(space.graph)
     forbidden = {_parse_cell(c) for c in args.forbid or ()}
-    code = EXIT_OK
     if args.enumerate is not None:
-        limit = None if args.enumerate == 0 else args.enumerate
-        solutions = enumerate_solutions(space, limit, trace)
-        for sol in solutions:
-            print(f"SOLUTION {len(sol.moves)} moves: {' '.join(sol.moves)}")
-        print(f"TOTAL {len(solutions)}")
-        if not solutions:
-            code = EXIT_NO_RESULT
+        results = enumerate_solutions(space, args.enumerate or None, sessions)
+    elif forbidden:
+        results = [solve_with_constraints(space, forbidden)]
     else:
-        if forbidden:
-            result = solve_with_constraints(space, forbidden, trace)
-        else:
-            result = solve(space, trace=trace)
-        if isinstance(result, NoSolution):
-            print("NO SOLUTION")
-            code = EXIT_NO_RESULT
-        else:
-            print(f"SOLUTION {len(result.moves)} moves: {' '.join(result.moves)}")
+        results = [solve(space, sessions)]
+    routes = [None if isinstance(r, NoSolution) else r.moves for r in results]
     if args.trace is not None:
-        trace.write(args.trace)
-    return code
+        # written before any output, so a trace that cannot be written
+        # leaves stdout empty, as every other input error does
+        nodes = space.graph.nodes
+        events = [("inhibit", nodes[n].label) for n in sorted(sessions.inhibited_nodes())]
+        for result, moves in zip(results, routes):
+            if moves is None:
+                events.append(("no_solution", "unreachable"))
+            else:
+                events.append(("create_node", f"solution:{result.concept}"))
+                events.append(("solution", ".".join(moves)))
+        with open(args.trace, "w", encoding="utf-8") as fh:
+            for step, (event, subject) in enumerate(events):
+                fh.write(f"{step}\t{event}\t{subject}\t{sessions.depth}\n")
+    for moves in routes:
+        if moves is None:
+            print("NO SOLUTION")
+        else:
+            print(f"SOLUTION {len(moves)} moves: {' '.join(moves)}")
+    if args.enumerate is not None:
+        print(f"TOTAL {len(results)}")
+    return EXIT_OK if routes and None not in routes else EXIT_NO_RESULT
 
 
 def _cmd_graph(args) -> int:

@@ -32,15 +32,8 @@ class Grid:
             if len(sym) != 1 or sym in EMPTY_CHARS or not sym.isprintable():
                 raise GridError(f"bad symbol {sym!r} at ({x}, {y})")
 
-    def __eq__(self, other):
-        if not isinstance(other, Grid):
-            return NotImplemented
-        return (
-            self.width == other.width
-            and self.height == other.height
-            and self.cells == other.cells
-        )
-
+    # the generated `__eq__` compares the fields; `cells` is a dict, so the
+    # hash is written out
     def __hash__(self):
         return hash((self.width, self.height, frozenset(self.cells.items())))
 

@@ -145,6 +145,11 @@ def extract_features(g: Grid) -> list[FeatureInstance]:
 
 # -- transformations -------------------------------------------------------
 
+# each kind's fields, in the order its label writes them after the kind
+_FIELDS = {"identity": (), "translate": ("dx", "dy"), "rotate90": ("k",),
+           "reflect_h": (), "reflect_v": (), "scale": ("k",)}
+
+
 @dataclass(frozen=True)
 class Transformation:
     kind: str  # identity | translate | rotate90 | reflect_h | reflect_v | scale
@@ -153,26 +158,20 @@ class Transformation:
     k: int = 0
 
     def __str__(self) -> str:
-        if self.kind == "translate":
-            return f"translate:{self.dx}:{self.dy}"
-        if self.kind == "rotate90":
-            return f"rotate90:{self.k}"
-        if self.kind == "scale":
-            return f"scale:{self.k}"
-        return self.kind
+        return ":".join([self.kind, *(str(getattr(self, f)) for f in _FIELDS.get(self.kind, ()))])
 
     @classmethod
     def parse(cls, text: str) -> "Transformation":
-        parts = text.split(":")
-        if parts[0] == "translate":
-            return cls("translate", dx=int(parts[1]), dy=int(parts[2]))
-        if parts[0] == "rotate90":
-            return cls("rotate90", k=int(parts[1]))
-        if parts[0] == "scale":
-            return cls("scale", k=int(parts[1]))
-        if parts[0] in ("identity", "reflect_h", "reflect_v"):
-            return cls(parts[0])
-        raise ValueError(f"unknown transformation {text!r}")
+        """The transformation whose `str` is `text`; `ValueError` for any
+        text `str` never writes (a missing, extra or non-canonical field)."""
+        kind, *fields = text.split(":")
+        try:
+            t = cls(kind, **dict(zip(_FIELDS[kind], map(int, fields))))
+        except (KeyError, ValueError):
+            t = None
+        if t is None or str(t) != text:
+            raise ValueError(f"unknown transformation {text!r}")
+        return t
 
     def apply(self, g: Grid) -> Grid:
         if self.kind == "identity":
@@ -521,7 +520,10 @@ class Learner:
         node = self.graph.node(node_id)
         if not node.label.startswith(TRANSFORM_PREFIX):
             raise LearningError(f"node {node_id} is not a transformation")
-        return Transformation.parse(node.label[len(TRANSFORM_PREFIX):])
+        try:
+            return Transformation.parse(node.label[len(TRANSFORM_PREFIX):])
+        except ValueError:
+            raise LearningError(f"node {node_id} has a bad transformation label {node.label!r}") from None
 
     # discrepancy
 

@@ -25,12 +25,15 @@ sequence reaches the target, whatever the agent's position) or when walls
 alone keep the agent from its goal; this takes O(cells), so an unsolvable
 large room answers without meeting the state budget. Enumeration first
 inhibits deadlock states (states from which no goal state is reachable,
-plus iterated cul-de-sac cells in mazes), which needs the whole space and
-reads only its successor lists; a single solve does not, because no
-deadlock state lies on a shortest path. Solutions are registered as
-high-level concepts; each path found is looked up as its solution concept,
-and a path whose concept is inhibited is skipped, so inhibiting a found
-solution makes the next run return an alternative.
+plus iterated cul-de-sac cells in mazes) in the caller's sessions, which
+needs the whole space and reads only its successor lists; a single solve
+does not, because no deadlock state lies on a shortest path. Solutions are
+registered as high-level concepts; each path found is looked up as its
+solution concept, and a path whose concept is inhibited is skipped, so
+inhibiting a found solution makes the next `solve` or `enumerate_solutions`
+on the same sessions return an alternative. What a run inhibits and the
+solutions it returns are its whole record; the CLI writes its run log
+from them.
 """
 
 from __future__ import annotations
@@ -128,14 +131,6 @@ class Environment:
         )
 
 
-def moves_of(path: list[State]) -> list[str]:
-    out = []
-    for a, b in zip(path, path[1:]):
-        delta = (b.agent[0] - a.agent[0], b.agent[1] - a.agent[1])
-        out.append(next(name for name, d in DIRECTIONS if d == delta))
-    return out
-
-
 @dataclass(frozen=True)
 class Solution:
     path: tuple[State, ...]
@@ -143,36 +138,16 @@ class Solution:
 
     @property
     def moves(self) -> list[str]:
-        return moves_of(list(self.path))
+        out = []
+        for a, b in zip(self.path, self.path[1:]):
+            delta = (b.agent[0] - a.agent[0], b.agent[1] - a.agent[1])
+            out.append(next(name for name, d in DIRECTIONS if d == delta))
+        return out
 
 
 @dataclass(frozen=True)
 class NoSolution:
     pass
-
-
-@dataclass
-class TraceRecord:
-    step: int
-    event: str  # inhibit|create_node|solution|no_solution
-    subject: str
-    session_depth: int
-
-    def to_line(self) -> str:
-        return f"{self.step}\t{self.event}\t{self.subject}\t{self.session_depth}"
-
-
-class TraceRecorder:
-    def __init__(self):
-        self.records: list[TraceRecord] = []
-
-    def emit(self, event: str, subject, depth: int) -> None:
-        self.records.append(TraceRecord(len(self.records), event, str(subject), depth))
-
-    def write(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for rec in self.records:
-                fh.write(rec.to_line() + "\n")
 
 
 class _Cells(dict):
@@ -447,11 +422,7 @@ class StateSpace:
         )
 
 
-def prune_deadlocks(
-    space: StateSpace,
-    sessions: SessionStack,
-    trace: TraceRecorder | None = None,
-) -> set[State]:
+def prune_deadlocks(space: StateSpace, sessions: SessionStack) -> set[State]:
     """Inhibit states that cannot take part in any solution.
 
     Covers states from which the goal state is unreachable (the rule-C
@@ -497,11 +468,8 @@ def prune_deadlocks(
                     queue.append(pred)
     dead = [s for s in order if s not in alive]
     node = space._node
-    for s in sorted(dead, key=node.__getitem__):
-        if not sessions.is_inhibited(node[s]):
-            sessions.inhibit(node[s])
-            if trace is not None:
-                trace.emit("inhibit", space.graph.nodes[node[s]].label, sessions.depth)
+    for s in dead:
+        sessions.inhibit(node[s])
     return set(space._decode_all(dead))
 
 
@@ -593,7 +561,6 @@ def _loopless_paths(
 def _solutions(
     space: StateSpace,
     sessions: SessionStack,
-    trace: TraceRecorder | None,
     forbidden: Iterable[tuple[int, int]] = (),
 ) -> Iterator[Solution]:
     """Yield each path that avoids inhibited states and `forbidden` cells
@@ -609,38 +576,23 @@ def _solutions(
         blocked = lambda s: s in inhibited or s // per_agent in cells
     for key, path in _loopless_paths(space, blocked):
         concept = _register_solution(space, key)
-        if sessions.is_inhibited(concept):
-            continue
-        states = space._decode_all(path)
-        if trace is not None:
-            trace.emit("create_node", f"solution:{concept}", sessions.depth)
-            trace.emit("solution", ".".join(moves_of(states)), sessions.depth)
-        yield Solution(tuple(states), concept)
+        if not sessions.is_inhibited(concept):
+            yield Solution(tuple(space._decode_all(path)), concept)
 
 
 def _first_solution(
     space: StateSpace,
     sessions: SessionStack | None,
-    trace: TraceRecorder | None,
     forbidden: Iterable[tuple[int, int]] = (),
 ):
+    if space._cut_off():
+        return NoSolution()
     if sessions is None:
         sessions = SessionStack(space.graph)
-    result = None
-    if not space._cut_off():
-        result = next(_solutions(space, sessions, trace, forbidden), None)
-    if result is None:
-        if trace is not None:
-            trace.emit("no_solution", "unreachable", sessions.depth)
-        return NoSolution()
-    return result
+    return next(_solutions(space, sessions, forbidden), NoSolution())
 
 
-def solve(
-    space: StateSpace,
-    sessions: SessionStack | None = None,
-    trace: TraceRecorder | None = None,
-):
+def solve(space: StateSpace, sessions: SessionStack | None = None):
     """Shortest solution that is not inhibited; returns Solution or NoSolution.
 
     The search steps only into the states it reaches, and unless a found
@@ -651,31 +603,32 @@ def solve(
     inhibited. A push puzzle found unsolvable before any search (see
     `StateSpace._cut_off`) gives `NoSolution` without a search.
     """
-    return _first_solution(space, sessions, trace)
+    return _first_solution(space, sessions)
 
 
 def enumerate_solutions(
     space: StateSpace,
     max_solutions: int | None = None,
-    trace: TraceRecorder | None = None,
+    sessions: SessionStack | None = None,
 ) -> list[Solution]:
     """Every loopless solution (at most `max_solutions`), shortest first.
 
-    Deadlock states are inhibited first, which builds the whole space and
-    spares Yen's spur searches from entering them. A push puzzle found
-    unsolvable before any search gives no solution before any of that.
+    Deadlock states are inhibited first, in `sessions` (a fresh stack if
+    none is given), in its open layer; that builds the whole space and
+    spares Yen's spur searches from entering them. The paths skip states
+    and solution concepts already inhibited in `sessions`, so inhibiting a
+    found solution makes the next call return an alternative. A push
+    puzzle found unsolvable before any search gives no solution before any
+    of that, and inhibits nothing.
     """
     if space._cut_off():
         return []
-    sessions = SessionStack(space.graph)
-    prune_deadlocks(space, sessions, trace)
-    return list(islice(_solutions(space, sessions, trace), max_solutions))
+    if sessions is None:
+        sessions = SessionStack(space.graph)
+    prune_deadlocks(space, sessions)
+    return list(islice(_solutions(space, sessions), max_solutions))
 
 
-def solve_with_constraints(
-    space: StateSpace,
-    forbidden: set[tuple[int, int]],
-    trace: TraceRecorder | None = None,
-):
+def solve_with_constraints(space: StateSpace, forbidden: set[tuple[int, int]]):
     """Shortest solution whose agent never stands on a `forbidden` cell."""
-    return _first_solution(space, None, trace, forbidden)
+    return _first_solution(space, None, forbidden)

@@ -199,12 +199,16 @@ def test_solve_walled_off_push_target_is_no_solution(capsys, tmp_path):
         _ringed_room({"S": (0, 0), "B": (5, 5), "T": (37, 37), "G": (39, 39)}, (36, 36, 38, 38)),
         _ringed_room({"S": (0, 0), "B": (5, 5), "T": (8, 5), "G": (30, 30)}, (28, 28, 32, 32)),
     )
-    env = tmp_path / "room.env"
+    env, trace = tmp_path / "room.env", tmp_path / "t"
+    no_solution = "0\tno_solution\tunreachable\t0\n"
     for room in rooms:
         env.write_text(room)
-        for extra, out in (((), "NO SOLUTION\n"), (("--enumerate",), "TOTAL 0\n"),
-                           (("--forbid", "1,1"), "NO SOLUTION\n")):
-            assert run(capsys, "solve", str(env), *extra) == (1, out, "")
+        # enumeration stops before pruning, so its trace is empty
+        for extra, out, lines in (((), "NO SOLUTION\n", no_solution),
+                                  (("--enumerate",), "TOTAL 0\n", ""),
+                                  (("--forbid", "1,1"), "NO SOLUTION\n", no_solution)):
+            assert run(capsys, "solve", str(env), *extra, "--trace", str(trace)) == (1, out, "")
+            assert trace.read_text() == lines
 
 
 def test_solve_enumerate_all(capsys, tmp_path):
@@ -323,6 +327,45 @@ def test_solve_trace_written_and_deterministic(capsys, tmp_path):
     assert traces[0] == traces[1]
     first = traces[0].splitlines()[0].split("\t")
     assert len(first) == 4 and first[0] == "0"
+
+
+def test_solve_enumerate_trace_bytes(capsys, tmp_path):
+    # one line per deadlock state, sorted by node id, then each solution's
+    # concept and moves; the last field is the session depth
+    env, trace = tmp_path / "c.env", tmp_path / "t"
+    env.write_text("S..\n.#.\n..G\n#.#\n")
+    code, out, _ = run(capsys, "solve", str(env), "--enumerate", "--trace", str(trace))
+    assert (code, out) == (0, "SOLUTION 4 moves: E E S S\nSOLUTION 4 moves: S S E E\nTOTAL 2\n")
+    assert trace.read_bytes() == (
+        b"0\tinhibit\tstate:1,3\t0\n"
+        b"1\tcreate_node\tsolution:9\t0\n"
+        b"2\tsolution\tE.E.S.S\t0\n"
+        b"3\tcreate_node\tsolution:10\t0\n"
+        b"4\tsolution\tS.S.E.E\t0\n"
+    )
+
+
+def test_solve_no_solution_trace(capsys, tmp_path):
+    env, trace = tmp_path / "c.env", tmp_path / "t"
+    env.write_text("S#G\n")
+    assert run(capsys, "solve", str(env), "--trace", str(trace)) == (1, "NO SOLUTION\n", "")
+    assert trace.read_bytes() == b"0\tno_solution\tunreachable\t0\n"
+
+
+def test_solve_unwritable_trace_is_input_error_before_output(capsys, tmp_path, monkeypatch):
+    env = tmp_path / "c.env"
+    env.write_text("S..\n.#.\n..G\n")
+    for extra in ((), ("--enumerate",), ("--forbid", "1,0")):
+        code, out, err = run(capsys, "solve", str(env), *extra, "--trace", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+    # a search over the state budget fails before the trace file is opened
+    monkeypatch.setattr("gridmind.solver.MAX_STATES", 2)
+    trace = tmp_path / "t"
+    for extra in ((), ("--enumerate",), ("--forbid", "1,0")):
+        code, out, _ = run(capsys, "solve", str(env), *extra, "--trace", str(trace))
+        assert (code, out) == (2, "")
+        assert not trace.exists()
 
 
 def test_missing_pattern_file_is_input_error(capsys, tmp_path):

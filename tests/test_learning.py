@@ -22,6 +22,7 @@ from gridmind.learning import (
     BoundsError,
     EmptyInputError,
     InhibitedError,
+    LearningError,
     NoFitError,
     find_transformation,
 )
@@ -462,6 +463,34 @@ def test_learn_transformation_stores_concepts():
     assert (t.kind, t.dx, t.dy) == ("translate", 1, 0)
     action = learner.labeled_node("action:push-east")
     assert learner.graph.association_weight(node, action) == 1
+
+
+def test_transformation_parse_inverts_str():
+    family = [Transformation("identity"), Transformation("reflect_h"), Transformation("reflect_v")]
+    family += [Transformation("translate", dx=dx, dy=dy) for dx in (-12, -1, 0, 3) for dy in (-2, 0, 7)]
+    family += [Transformation(kind, k=k) for kind in ("rotate90", "scale") for k in (0, 1, 2, 3, 11)]
+    for t in family:
+        assert Transformation.parse(str(t)) == t
+
+
+BAD_TRANSFORMATION_LABELS = [
+    "translate:1", "translate:1:2:3", "translate:1:x", "translate:+1:2", "translate:-0:0",
+    "rotate90:1:9", "rotate90:01", "rotate90", "scale: 2", "scale:1_0",
+    "identity:3", "reflect_h:0", "spin", "",
+]
+
+
+@pytest.mark.parametrize("label", BAD_TRANSFORMATION_LABELS)
+def test_transformation_parse_rejects_labels_str_never_writes(label):
+    with pytest.raises(ValueError, match="unknown transformation"):
+        Transformation.parse(label)
+
+
+@pytest.mark.parametrize("label", ["translate:1", "rotate90:1:9", "identity:3"])
+def test_transformation_of_bad_loaded_label_is_learning_error(label):
+    graph = ConceptGraph.import_text(f"CGRAPH 1\nN 0 Transformation 1 tf:{label}\n")
+    with pytest.raises(LearningError, match="node 0"):
+        Learner(graph).transformation_of(0)
 
 
 @pytest.mark.parametrize("label_first", [True, False])

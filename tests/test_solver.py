@@ -20,7 +20,7 @@ from gridmind import (
     solve,
     solve_with_constraints,
 )
-from gridmind.solver import InvalidEnvError, TraceRecorder
+from gridmind.solver import InvalidEnvError
 from oracles import (
     all_simple_maze_paths,
     bfs_distance,
@@ -34,6 +34,7 @@ from oracles import (
 )
 
 CORRIDOR = "S.G\n"
+ENUM_MAZE = "S..\n.#.\n..G\n#.#\n"
 T_MAZE = (
     "#####\n"
     "S...G\n"
@@ -117,9 +118,10 @@ def test_prune_t_maze_arm():
     sessions = SessionStack(space.graph)
     dead = prune_deadlocks(space, sessions)
     assert {s.agent for s in dead} == {(2, 2), (2, 3), (2, 4)}
-    trace = TraceRecorder()
-    enumerate_solutions(StateSpace(env), trace=trace)  # prunes once per call
-    assert sum(r.event == "inhibit" for r in trace.records) == len(dead)
+    space = StateSpace(env)
+    sessions = SessionStack(space.graph)
+    enumerate_solutions(space, sessions=sessions)  # prunes once per call
+    assert len(sessions.inhibited_nodes()) == len(dead)
 
 
 def test_prune_cornered_box():
@@ -177,10 +179,8 @@ def test_solve_corridor():
 
 
 def test_solve_walled_off():
-    trace = TraceRecorder()
-    result = solve(StateSpace(Environment.from_text("S#G\n")), trace=trace)
+    result = solve(StateSpace(Environment.from_text("S#G\n")))
     assert isinstance(result, NoSolution)
-    assert any(r.event == "no_solution" for r in trace.records)
 
 
 def _open_room(n: int) -> str:
@@ -217,16 +217,12 @@ def test_solve_skips_inhibited_solution_concept():
 def test_solve_deterministic():
     env_text = random_maze_text(random.Random(3), 7, 7, 0.3)
     outcomes = set()
-    traces = set()
     for _ in range(3):
-        trace = TraceRecorder()
-        result = solve(StateSpace(Environment.from_text(env_text)), trace=trace)
+        result = solve(StateSpace(Environment.from_text(env_text)))
         outcomes.add(
-            tuple(result.path) if isinstance(result, Solution) else "none"
+            (tuple(result.path), result.concept) if isinstance(result, Solution) else "none"
         )
-        traces.add("\n".join(r.to_line() for r in trace.records))
     assert len(outcomes) == 1
-    assert len(traces) == 1
 
 
 def _assert_legal(env, sol: Solution):
@@ -560,18 +556,28 @@ def test_enumeration_names_states_in_breadth_first_order():
     # the full build names every state before Yen's search runs, so node ids,
     # the order of equal-length routes and the trace do not depend on which
     # states a search met first
-    space = StateSpace(Environment.from_text("S..\n.#.\n..G\n#.#\n"))
-    trace = TraceRecorder()
-    solutions = enumerate_solutions(space, trace=trace)
+    space = StateSpace(Environment.from_text(ENUM_MAZE))
+    sessions = SessionStack(space.graph)
+    solutions = enumerate_solutions(space, sessions=sessions)
     assert [space.node_of[s] for s in space.states] == list(range(9))
     assert [sol.moves for sol in solutions] == [list("EESS"), list("SSEE")]
-    assert [r.to_line() for r in trace.records] == [
-        "0\tinhibit\tstate:1,3\t0",
-        "1\tcreate_node\tsolution:9\t0",
-        "2\tsolution\tE.E.S.S\t0",
-        "3\tcreate_node\tsolution:10\t0",
-        "4\tsolution\tS.S.E.E\t0",
-    ]
+    assert [sol.concept for sol in solutions] == [9, 10]
+    assert sessions.inhibited_nodes() == {space.node_of[State((1, 3))]}
+
+
+def test_enumeration_skips_solutions_inhibited_in_the_callers_sessions():
+    space = StateSpace(Environment.from_text(ENUM_MAZE))
+    sessions = SessionStack(space.graph)
+    first, second = enumerate_solutions(space, sessions=sessions)
+    deadlocks = sessions.inhibited_nodes()
+    assert deadlocks == {space.node_of[State((1, 3))]}
+    sessions.begin_session()
+    sessions.inhibit(first.concept)
+    assert enumerate_solutions(space, sessions=sessions) == [second]
+    assert sessions.inhibited_nodes() == deadlocks | {first.concept}
+    sessions.release_session()
+    assert enumerate_solutions(space, sessions=sessions) == [first, second]
+    assert sessions.inhibited_nodes() == deadlocks
 
 
 @pytest.fixture
