@@ -103,9 +103,8 @@ def _cmd_explain(args) -> int:
     for e in explanations:
         if e.novel:
             print(f"NOVEL {_fmt_ids(e.residue)}")
-    if not regular or all(not e.chosen and not e.covered for e in regular):
-        if not grid.is_empty():
-            return EXIT_NO_RESULT
+    if not grid.is_empty() and not any(e.chosen for e in regular):
+        return EXIT_NO_RESULT
     return EXIT_OK
 
 

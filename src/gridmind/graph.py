@@ -112,9 +112,7 @@ class ConceptGraph:
         return node_id
 
     def create_primitive(self, label: str, scale: int = 1) -> int:
-        if scale < 1:
-            raise ValueError("scale must be positive")
-        return self._new_node(NodeKind.PRIMITIVE, label, scale)
+        return self.create_atom(NodeKind.PRIMITIVE, label, scale)
 
     def create_atom(self, kind: NodeKind, label: str = "", scale: int = 1) -> int:
         """Childless node of any kind but a composite one (states,

@@ -118,15 +118,10 @@ def explain_features(
             feats = feats_of[cand]
             if cand in banned or feats & covered:
                 continue
-            if sessions.is_inhibited(cand) or any(sessions.is_inhibited(x) for x in feats):
-                continue
             sessions.begin_session()
-            marked = []
             try:
                 for n in [cand, *sorted(feats)]:
-                    if not sessions.is_active(n):
-                        sessions.set_active(n)
-                        marked.append(n)
+                    sessions.set_active(n)
                 sessions.propagate()
             except ConflictError:
                 pass
@@ -136,8 +131,6 @@ def explain_features(
                 yield i + 1
                 chosen.pop()
                 covered.difference_update(feats)
-            for n in marked:
-                sessions.clear_active(n)
             sessions.release_session()
         # leave `f` uncovered: worth it only if a partner can suppress it
         newly = [c for c in covering[f] if c not in banned]

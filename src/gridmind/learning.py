@@ -157,8 +157,17 @@ class Transformation:
     dy: int = 0
     k: int = 0
 
+    def __post_init__(self) -> None:
+        try:
+            used = _FIELDS[self.kind]
+        except KeyError:
+            raise ValueError(f"unknown transformation kind {self.kind!r}") from None
+        for f in ("dx", "dy", "k"):
+            if getattr(self, f) and f not in used:
+                raise ValueError(f"a {self.kind} transformation has no field {f}")
+
     def __str__(self) -> str:
-        return ":".join([self.kind, *(str(getattr(self, f)) for f in _FIELDS.get(self.kind, ()))])
+        return ":".join([self.kind, *(str(getattr(self, f)) for f in _FIELDS[self.kind])])
 
     @classmethod
     def parse(cls, text: str) -> "Transformation":
@@ -203,19 +212,18 @@ class Transformation:
                 g.height,
                 {(x, g.height - 1 - y): s for (x, y), s in g.cells.items()},
             )
-        if self.kind == "scale":
-            k = self.k
-            if k < 2:
-                raise ValueError("scale factor must be >= 2")
-            if g.width * k > MAX_DIM or g.height * k > MAX_DIM:
-                raise BoundsError("scaled grid exceeds the maximum canvas")
-            cells = {}
-            for (x, y), s in g.cells.items():
-                for i in range(k):
-                    for j in range(k):
-                        cells[(x * k + i, y * k + j)] = s
-            return Grid(g.width * k, g.height * k, cells)
-        raise ValueError(f"unknown transformation kind {self.kind!r}")
+        # scale, the one kind left
+        k = self.k
+        if k < 2:
+            raise ValueError("scale factor must be >= 2")
+        if g.width * k > MAX_DIM or g.height * k > MAX_DIM:
+            raise BoundsError("scaled grid exceeds the maximum canvas")
+        cells = {}
+        for (x, y), s in g.cells.items():
+            for i in range(k):
+                for j in range(k):
+                    cells[(x * k + i, y * k + j)] = s
+        return Grid(g.width * k, g.height * k, cells)
 
     def inverse_apply(self, g: Grid) -> Grid | None:
         """Pre-image of g under this transformation, or None if it has none."""
@@ -230,15 +238,14 @@ class Transformation:
             return Transformation("rotate90", k=(4 - self.k) % 4).apply(g)
         if self.kind in ("reflect_h", "reflect_v"):
             return self.apply(g)
-        if self.kind == "scale":
-            k = self.k
-            if g.width % k or g.height % k:
-                return None
-            # shrink each k x k block to one cell; scaling back must give g
-            cells = {(x // k, y // k): s for (x, y), s in g.cells.items()}
-            pre = Grid(g.width // k, g.height // k, cells)
-            return pre if self.apply(pre) == g else None
-        raise ValueError(f"unknown transformation kind {self.kind!r}")
+        # scale, the one kind left
+        k = self.k
+        if g.width % k or g.height % k:
+            return None
+        # shrink each k x k block to one cell; scaling back must give g
+        cells = {(x // k, y // k): s for (x, y), s in g.cells.items()}
+        pre = Grid(g.width // k, g.height // k, cells)
+        return pre if self.apply(pre) == g else None
 
 
 IDENTITY = Transformation("identity")

@@ -434,6 +434,9 @@ def prune_deadlocks(space: StateSpace, sessions: SessionStack) -> set[State]:
     state reaches the goal or none does, and no reversed lists are built;
     the cul-de-sac cells are found by filling dead ends on the lists of the
     reachable states.
+
+    If a dead state is Active in `sessions`, raises `ConflictError` before
+    inhibiting any, so `sessions` is left unchanged.
     """
     order, succ = space._order, space._succ
     # the full build leaves exactly the reachable states in `succ`
@@ -468,8 +471,7 @@ def prune_deadlocks(space: StateSpace, sessions: SessionStack) -> set[State]:
                     queue.append(pred)
     dead = [s for s in order if s not in alive]
     node = space._node
-    for s in dead:
-        sessions.inhibit(node[s])
+    sessions.inhibit(*(node[s] for s in dead))
     return set(space._decode_all(dead))
 
 

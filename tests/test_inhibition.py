@@ -27,6 +27,36 @@ def test_session_revert():
     assert not s.is_inhibited(n) and not s.is_active(n)
 
 
+def test_released_activation_leaves_no_trace():
+    # an activation made in a released session must not survive it, or the
+    # next propagate writes its consequence into the base layer
+    g = ConceptGraph()
+    a = g.create_primitive("a")
+    b = g.create_primitive("b")
+    g.add_mutex(a, b)
+    s = SessionStack(g)
+    s.begin_session()
+    s.set_active(a)
+    assert s.propagate() == {b}
+    s.release_session()
+    assert s.active_nodes() == set()
+    assert s.propagate() == set()
+    assert s.inhibited_nodes() == set()
+
+
+def test_inhibit_with_an_active_node_inhibits_none():
+    g = ConceptGraph()
+    a = g.create_primitive("a")
+    b = g.create_primitive("b")
+    s = SessionStack(g)
+    s.set_active(b)
+    with pytest.raises(ConflictError, match=f"node {b} is Active"):
+        s.inhibit(a, b)
+    assert s.inhibited_nodes() == set()
+    s.inhibit(a, a)
+    assert s.inhibited_nodes() == {a} and s._layers == [{a, b}]
+
+
 def test_release_at_base_underflows():
     s = SessionStack(ConceptGraph())
     with pytest.raises(UnderflowError):
@@ -277,6 +307,27 @@ def _propagate_against_closure_oracle(g, s, view=None) -> bool:
     return True
 
 
+def test_view_state_under_rules_b_c_and_mutex_matches_oracle():
+    # `s1` has no transitions (rule C), its only parent is inhibited (rule
+    # B) and it is the mutex partner of an Active node, so three rules reach
+    # it in one call
+    from gridmind import NodeKind
+
+    g = ConceptGraph()
+    a = g.create_primitive("a")
+    s1 = g.create_atom(NodeKind.STATE, "s1")
+    x = g.create_primitive("x")
+    c = g.create_composite([(s1, (0, 0)), (x, (1, 0))])
+    g.add_mutex(a, s1)
+    view = StateGraphView(states={s1}, transitions={}, targets=set())
+    s = SessionStack(g)
+    s.inhibit(c)
+    s.set_active(a)
+    assert _propagate_against_closure_oracle(g, s, view)
+    assert s.inhibited_nodes() == {c, s1, x}
+    assert s.propagate(view) == set()
+
+
 def test_propagate_matches_closure_oracle_random():
     # nested sessions, inhibit/set_active and graph growth between calls:
     # every call must still reach the full closure; half the graphs also
@@ -310,9 +361,8 @@ def test_propagate_matches_closure_oracle_random():
             if rng.random() < 0.3:
                 g.add_mutex(*rng.sample(ids, 2))
             if not _propagate_against_closure_oracle(g, s, view):
-                s.release_session()
-                for n in s.active_nodes():
-                    s.clear_active(n)
+                while s.depth:
+                    s.release_session()
                 continue
             inhibited = sorted(s.inhibited_nodes())
             if inhibited and rng.random() < 0.5:
@@ -354,14 +404,32 @@ def test_session_soundness_random():
         for n in rng.sample(g.node_ids(), min(3, len(g))):
             s.inhibit(n)
         s.propagate()
+        # an activation the inner release must keep, in a session of its
+        # own because it may conflict with the inhibitions above
+        s.begin_session()
+        outer = rng.choice(g.node_ids())
+        if not s.is_inhibited(outer):
+            s.set_active(outer)
+        try:
+            s.propagate()
+        except ConflictError:
+            s.release_session()
         snapshot = s.inhibited_nodes()
+        active = s.active_nodes()
         s.begin_session()
         for n in rng.sample(g.node_ids(), min(4, len(g))):
-            if not s.is_inhibited(n):
+            if not s.is_active(n):
                 s.inhibit(n)
-        s.propagate()
+        for n in rng.sample(g.node_ids(), min(2, len(g))):
+            if not s.is_inhibited(n):
+                s.set_active(n)
+        try:
+            s.propagate()
+        except ConflictError:
+            pass  # the release must undo a conflicting session too
         s.release_session()
         assert s.inhibited_nodes() == snapshot
+        assert s.active_nodes() == active
 
 
 def test_no_node_both_active_and_inhibited_after_propagation():

@@ -473,6 +473,19 @@ def test_transformation_parse_inverts_str():
         assert Transformation.parse(str(t)) == t
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [(dict(kind="identity", k=3), "has no field k"), (dict(kind="translate", dx=1, k=5), "has no field k"),
+     (dict(kind="reflect_v", dy=-1), "has no field dy"), (dict(kind="scale", k=2, dx=1), "has no field dx"),
+     (dict(kind="spin"), "unknown transformation kind")]
+)
+def test_transformation_rejects_an_unknown_kind_or_an_unused_field(fields, message):
+    # `str` writes only the kind's own fields, so anything else would not
+    # survive `parse(str(t))`
+    with pytest.raises(ValueError, match=message):
+        Transformation(**fields)
+
+
 BAD_TRANSFORMATION_LABELS = [
     "translate:1", "translate:1:2:3", "translate:1:x", "translate:+1:2", "translate:-0:0",
     "rotate90:1:9", "rotate90:01", "rotate90", "scale: 2", "scale:1_0",

@@ -20,6 +20,7 @@ from gridmind import (
     solve,
     solve_with_constraints,
 )
+from gridmind.inhibition import ConflictError
 from gridmind.solver import InvalidEnvError
 from oracles import (
     all_simple_maze_paths,
@@ -122,6 +123,18 @@ def test_prune_t_maze_arm():
     sessions = SessionStack(space.graph)
     enumerate_solutions(space, sessions=sessions)  # prunes once per call
     assert len(sessions.inhibited_nodes()) == len(dead)
+
+
+def test_prune_conflict_leaves_the_callers_stack_unchanged():
+    space = StateSpace(Environment.from_text("S.G\n.#.\n.#.\n"))
+    space.states  # the full build names every state
+    sessions = SessionStack(space.graph)
+    active = space.node_of[State((2, 2))]
+    sessions.set_active(active)
+    with pytest.raises(ConflictError, match=f"node {active} is Active"):
+        enumerate_solutions(space, sessions=sessions)
+    assert sessions.inhibited_nodes() == set()
+    assert sessions.active_nodes() == {active}
 
 
 def test_prune_cornered_box():
