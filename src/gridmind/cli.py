@@ -49,16 +49,12 @@ def _load(path, parse):
         raise _CliInputError(f"{path}: {exc}") from None
 
 
-def _load_graph(path) -> ConceptGraph:
-    """The graph in `path`; an empty one if there is no such file yet."""
-    if path is None or not os.path.exists(path):
-        return ConceptGraph()
-    return _load(path, ConceptGraph.import_text)
-
-
 def _cmd_learn(args) -> int:
     grid = _load(args.pattern, Grid.from_text)
-    graph = _load_graph(args.graph)
+    # the one command that starts a new graph when there is no file yet
+    graph = ConceptGraph()
+    if args.graph is not None and os.path.exists(args.graph):
+        graph = _load(args.graph, ConceptGraph.import_text)
     report = Learner(graph).observe(grid)
     if args.graph is not None:
         graph.export_file(args.graph)
@@ -69,14 +65,14 @@ def _cmd_learn(args) -> int:
 
 
 def _cmd_show(args) -> int:
-    grid = Learner(_load_graph(args.graph)).reconstruct(args.node)
+    grid = Learner(_load(args.graph, ConceptGraph.import_text)).reconstruct(args.node)
     sys.stdout.write(grid.to_text())
     return EXIT_OK
 
 
 def _cmd_recognize(args) -> int:
     grid = _load(args.pattern, Grid.from_text)
-    learner = Learner(_load_graph(args.graph))
+    learner = Learner(_load(args.graph, ConceptGraph.import_text))
     matches = learner.recognize(grid)
     for m in matches:
         print(f"MATCH {m.concept} {m.score} {m.anchor[0]},{m.anchor[1]}")
@@ -91,7 +87,7 @@ def _fmt_ids(ids) -> str:
 
 def _cmd_explain(args) -> int:
     grid = _load(args.pattern, Grid.from_text)
-    learner = Learner(_load_graph(args.graph))
+    learner = Learner(_load(args.graph, ConceptGraph.import_text))
     explanations = explain(learner, grid)
     regular = [e for e in explanations if not e.novel]
     for e in regular:
@@ -141,7 +137,7 @@ def _cmd_solve(args) -> int:
             if moves is None:
                 events.append(("no_solution", "unreachable"))
             else:
-                events.append(("create_node", f"solution:{result.concept}"))
+                events.append(("create_node", nodes[result.concept].label))
                 events.append(("solution", ".".join(moves)))
         with open(args.trace, "w", encoding="utf-8") as fh:
             for step, (event, subject) in enumerate(events):

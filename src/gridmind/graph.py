@@ -49,6 +49,10 @@ class NodeKind(Enum):
     SOLUTION = "SolutionConcept"
 
 
+# the kinds whose nodes have children; a node of any other kind is an atom
+PARENT_KINDS = (NodeKind.COMPOSITE, NodeKind.SOLUTION)
+
+
 class GraphError(Exception):
     pass
 
@@ -115,11 +119,11 @@ class ConceptGraph:
         return self.create_atom(NodeKind.PRIMITIVE, label, scale)
 
     def create_atom(self, kind: NodeKind, label: str = "", scale: int = 1) -> int:
-        """Childless node of any kind but a composite one (states,
-        transformations)."""
+        """Childless node of any kind not in `PARENT_KINDS` (primitives,
+        states, transformations)."""
         if scale < 1:
             raise ValueError("scale must be positive")
-        if kind in (NodeKind.COMPOSITE, NodeKind.SOLUTION):
+        if kind in PARENT_KINDS:
             raise ValueError(f"a {kind.value} node needs children")
         return self._new_node(kind, label, scale)
 
@@ -136,6 +140,8 @@ class ConceptGraph:
         children: list[tuple[int, Role]],
         kind: NodeKind = NodeKind.COMPOSITE,
     ) -> int:
+        if kind not in PARENT_KINDS:
+            raise ValueError(f"a {kind.value} node has no children")
         key = tuple(sorted(set(children)))
         if len(key) < 2:
             raise ArityError(f"composite needs >= 2 children, got {len(key)}")
@@ -262,10 +268,11 @@ class ConceptGraph:
 
         Every record is read first. Then each `C` record must place a known
         child whose id is below its parent's (checked in file order), so no
-        cycle can load. Then, in id order, a node with no links must be one
-        `create_atom` makes, and a node with links one `create_composite`
-        makes: at least 2 distinct (child, role) pairs, a child set no
-        earlier node has, and a scale that is the sum of its children's.
+        cycle can load. Then, in id order, a node whose kind is not in
+        `PARENT_KINDS` must have no links, as `create_atom` makes it, and a
+        node whose kind is must be one `create_composite` makes: at least 2
+        distinct (child, role) pairs, a child set no earlier node has, and a
+        scale that is the sum of its children's.
         Any record that breaks a rule is a `ParseError` naming its line.
         """
         lines = text.splitlines()
@@ -333,10 +340,11 @@ class ConceptGraph:
         scales = [node.scale for node in nodes.values()]
         for node_id, entries in enumerate(grouped):  # in id order, children first
             node = nodes[node_id]
-            if not entries and node.kind not in (NodeKind.COMPOSITE, NodeKind.SOLUTION):
-                continue  # an atom, as create_atom makes
-            key = tuple(sorted(set(entries)))
-            if len(key) < 2:
+            if node.kind not in PARENT_KINDS:
+                if not entries:
+                    continue  # an atom, as create_atom makes
+                problem = f"has children, but a {node.kind.value} node has none"
+            elif len(key := tuple(sorted(set(entries)))) < 2:
                 problem = f"needs 2 or more children, has {len(key)}"
             elif key in g._composite_index:
                 problem = f"has the same children as node {g._composite_index[key]}"

@@ -57,11 +57,7 @@ class Grid:
 
     def cropped(self) -> "Grid":
         """Translate so the bounding box starts at (0, 0)."""
-        if not self.cells:
-            return Grid(1, 1, {})
-        min_x, min_y, max_x, max_y = self.bounding_box()
-        cells = {(x - min_x, y - min_y): s for (x, y), s in self.cells.items()}
-        return Grid(max_x - min_x + 1, max_y - min_y + 1, cells)
+        return Grid.from_cells(self.cells)
 
     def to_text(self) -> str:
         rows = []

@@ -165,6 +165,8 @@ class Transformation:
         for f in ("dx", "dy", "k"):
             if getattr(self, f) and f not in used:
                 raise ValueError(f"a {self.kind} transformation has no field {f}")
+        if self.kind == "scale" and self.k < 2:
+            raise ValueError(f"scale factor must be >= 2, got {self.k}")
 
     def __str__(self) -> str:
         return ":".join([self.kind, *(str(getattr(self, f)) for f in _FIELDS[self.kind])])
@@ -214,8 +216,6 @@ class Transformation:
             )
         # scale, the one kind left
         k = self.k
-        if k < 2:
-            raise ValueError("scale factor must be >= 2")
         if g.width * k > MAX_DIM or g.height * k > MAX_DIM:
             raise BoundsError("scaled grid exceeds the maximum canvas")
         cells = {}
@@ -226,29 +226,34 @@ class Transformation:
         return Grid(g.width * k, g.height * k, cells)
 
     def inverse_apply(self, g: Grid) -> Grid | None:
-        """Pre-image of g under this transformation, or None if it has none."""
-        if self.kind == "identity":
-            return g
-        if self.kind == "translate":
-            try:
-                return Transformation("translate", dx=-self.dx, dy=-self.dy).apply(g)
-            except BoundsError:
+        """Pre-image of g under this transformation, or None if it has none.
+
+        A scale shrinks each k x k block to one cell, and the result is a
+        pre-image only if scaling it back gives g. Every other kind applies
+        its inverse: the opposite translation (None when that moves a cell
+        off the canvas), the rotation by the remaining quarter turns, and
+        the identity and the reflections themselves."""
+        if self.kind == "scale":
+            k = self.k
+            if g.width % k or g.height % k:
                 return None
-        if self.kind == "rotate90":
-            return Transformation("rotate90", k=(4 - self.k) % 4).apply(g)
-        if self.kind in ("reflect_h", "reflect_v"):
-            return self.apply(g)
-        # scale, the one kind left
-        k = self.k
-        if g.width % k or g.height % k:
+            cells = {(x // k, y // k): s for (x, y), s in g.cells.items()}
+            pre = Grid(g.width // k, g.height // k, cells)
+            return pre if self.apply(pre) == g else None
+        inverse = Transformation(self.kind, dx=-self.dx, dy=-self.dy, k=-self.k % 4)
+        try:
+            return inverse.apply(g)
+        except BoundsError:
             return None
-        # shrink each k x k block to one cell; scaling back must give g
-        cells = {(x // k, y // k): s for (x, y), s in g.cells.items()}
-        pre = Grid(g.width // k, g.height // k, cells)
-        return pre if self.apply(pre) == g else None
 
 
 IDENTITY = Transformation("identity")
+# the rotations and reflections of the family, in family order
+_ROTATIONS_AND_REFLECTIONS = (
+    *(Transformation("rotate90", k=k) for k in (1, 2, 3)),
+    Transformation("reflect_h"),
+    Transformation("reflect_v"),
+)
 
 
 def _translate_candidate(before: Grid, after: Grid) -> Transformation | None:
@@ -267,9 +272,7 @@ def transformation_candidates(before: Grid, after: Grid) -> list[Transformation]
     t = _translate_candidate(before, after)
     if t is not None:
         out.append(t)
-    out.extend(Transformation("rotate90", k=k) for k in (1, 2, 3))
-    out.append(Transformation("reflect_h"))
-    out.append(Transformation("reflect_v"))
+    out.extend(_ROTATIONS_AND_REFLECTIONS)
     if (
         before.width >= 1
         and after.width % before.width == 0
@@ -365,10 +368,12 @@ class Learner:
         """Cells of `root` in its own frame, expanding each node once and
         stopping at the first node wider or taller than `MAX_DIM`. A node
         that is neither a primitive nor a composite is rejected before the
-        walk descends below it, so the error names the node asked for. A
-        child's expansion is dropped as soon as its last parent below `root`
-        is built, so memory follows the widest few nodes, not the number of
-        nodes."""
+        walk descends below it, so the error names the node asked for. The
+        graph keeps a primitive childless and a composite with 2 or more
+        children, so the childless nodes of the walk are its primitives,
+        each one cell with the symbol its label names. A child's expansion
+        is dropped as soon as its last parent below `root` is built, so
+        memory follows the widest few nodes, not the number of nodes."""
         self.graph.node(root)
         nodes, graph_children = self.graph.nodes, self.graph._children
         # how many distinct parents below root still need each node
@@ -376,11 +381,8 @@ class Learner:
         stack = [root]
         while stack:
             node_id = stack.pop()
-            kind = nodes[node_id].kind
-            if kind not in _GRID_KINDS:
+            if nodes[node_id].kind not in _GRID_KINDS:
                 raise LearningError(f"node {node_id} is not a grid concept")
-            if kind is NodeKind.PRIMITIVE:
-                continue  # one cell, whatever it places
             for child in {c for c, _ in graph_children.get(node_id, ())}:
                 if child in needed:
                     needed[child] += 1
@@ -391,8 +393,8 @@ class Learner:
         for node_id in sorted(needed):  # a child's id is below its parents'
             node = nodes[node_id]
             children = graph_children.get(node_id, ())
-            if node.kind is NodeKind.PRIMITIVE or not children:
-                if node.kind is not NodeKind.PRIMITIVE or not node.label.startswith(PRIMITIVE_PREFIX):
+            if not children:  # a primitive: one cell
+                if not node.label.startswith(PRIMITIVE_PREFIX):
                     raise LearningError(f"node {node_id} is not a grid concept")
                 memo[node_id] = {(0, 0): node.label[len(PRIMITIVE_PREFIX):]}
                 continue
@@ -478,7 +480,12 @@ class Learner:
     def match_under_transformations(
         self, g: Grid
     ) -> list[tuple[RecognitionMatch, Transformation]]:
-        # listed in family order; the final stable sort keeps it among ties
+        """`recognize`'s matches on g and on its pre-image under each
+        member of the family, each with its transformation, ranked as
+        `recognize` ranks them and in family order among ties. A
+        translation's matches are the identity's with shifted anchors, for
+        every translation that keeps g's bounding box on its canvas; a
+        rotation, reflection or scale runs `recognize` on its pre-image."""
         base = self.recognize(g)
         results = [(m, IDENTITY) for m in base]
         if base:
@@ -494,12 +501,8 @@ class Learner:
                             (RecognitionMatch(m.concept, (m.anchor[0] - dx, m.anchor[1] - dy), m.score), t)
                             for m in base
                         ]
-        rest: list[Transformation] = [Transformation("rotate90", k=k) for k in (1, 2, 3)]
-        rest += [Transformation("reflect_h"), Transformation("reflect_v")]
-        rest += [
-            Transformation("scale", k=k) for k in range(2, max(g.width, g.height) + 1)
-        ]
-        for t in rest:
+        scales = [Transformation("scale", k=k) for k in range(2, max(g.width, g.height) + 1)]
+        for t in (*_ROTATIONS_AND_REFLECTIONS, *scales):
             pre = t.inverse_apply(g)
             if pre is not None:
                 results += [(m, t) for m in self.recognize(pre)]

@@ -118,8 +118,6 @@ class Environment:
             raise InvalidEnvError("a push puzzle needs exactly one B and one T")
         box = marks["B"][0] if marks["B"] else None
         target = marks["T"][0] if marks["T"] else None
-        if box is not None and box == marks["S"][0]:
-            raise InvalidEnvError("box cannot start on the agent")
         return cls(
             width,
             len(lines),
@@ -209,6 +207,10 @@ class _StateOf(Mapping):
 class StateSpace:
     """The states reachable in an environment, stepped into on demand.
 
+    The space makes its own concept graph, `graph`, which holds its state
+    nodes and the solution concepts registered on it, so no two spaces
+    name one state label in the same graph.
+
     Inside the space a state is one int (see the module docstring).
     `_encode` and `_decode_all` convert between these ints and `State`
     tuples through `_cells`, one per-cell table of coordinates and `"x,y"`
@@ -236,7 +238,7 @@ class StateSpace:
     derive all else from these.
     """
 
-    def __init__(self, env: Environment, graph: ConceptGraph | None = None):
+    def __init__(self, env: Environment):
         if not env.is_free(env.start) or not env.is_free(env.goal):
             raise InvalidEnvError("start or goal on a wall")
         if env.box is not None and (
@@ -244,7 +246,7 @@ class StateSpace:
         ):
             raise InvalidEnvError("box or box target on a wall")
         self.env = env
-        self.graph = graph if graph is not None else ConceptGraph()
+        self.graph = ConceptGraph()
         # a state's agent cell is `state // _per_agent`, its box cell the rest
         self._per_agent = env.width * env.height if env.box is not None else 1
         self._cells = _Cells(env.width)
@@ -254,8 +256,6 @@ class StateSpace:
             [None] * self._per_agent if env.box is not None else []
         )
         self._succ: dict[int, list[int]] = {}
-        # whether a push puzzle is unsolvable, once `_cut_off` asks
-        self._dead: Optional[bool] = None if env.box is not None else False
         self._start = self._encode(env.start_state)
         self._goal = self._encode(env.goal_state)
 
@@ -354,34 +354,31 @@ class StateSpace:
         push from; the agent moves to any free neighbour. A breadth-first
         search over these moves stops at the destination: O(cells) at most,
         and only the nearby cells when the destination is a few moves away.
-        Computed on the first call, and not as a `cached_property`: writing
-        the instance `__dict__` slows every attribute lookup of the state
-        search that follows."""
-        if self._dead is None:
-            env, table, cell_of = self.env, self._moves, self._cell
-            self._dead = False
-            for mover, dest, pushed in (
-                (env.box, env.box_target, True),
-                (env.start, env.goal, False),
-            ):
-                dest = cell_of(dest)
-                queue = [cell_of(mover)]
-                seen = set(queue)
-                for cell in queue:  # the list is the queue
-                    if cell == dest:
-                        break
-                    moves = table[cell]
-                    if moves is None:
-                        moves = table[cell] = self._row(cell)
-                    for i, nxt in enumerate(moves):
-                        # a push needs the cell opposite `nxt` free
-                        if nxt >= 0 and nxt not in seen and (not pushed or moves[i - 2] >= 0):
-                            seen.add(nxt)
-                            queue.append(nxt)
-                else:
-                    self._dead = True
+        A maze is never cut off."""
+        env, table, cell_of = self.env, self._moves, self._cell
+        if env.box is None:
+            return False
+        for mover, dest, pushed in (
+            (env.box, env.box_target, True),
+            (env.start, env.goal, False),
+        ):
+            dest = cell_of(dest)
+            queue = [cell_of(mover)]
+            seen = set(queue)
+            for cell in queue:  # the list is the queue
+                if cell == dest:
                     break
-        return self._dead
+                moves = table[cell]
+                if moves is None:
+                    moves = table[cell] = self._row(cell)
+                for i, nxt in enumerate(moves):
+                    # a push needs the cell opposite `nxt` free
+                    if nxt >= 0 and nxt not in seen and (not pushed or moves[i - 2] >= 0):
+                        seen.add(nxt)
+                        queue.append(nxt)
+            else:
+                return True
+        return False
 
     @cached_property
     def _order(self) -> list[int]:

@@ -374,6 +374,17 @@ def test_missing_pattern_file_is_input_error(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [["show", "0"], ["recognize", "{ring}"], ["explain", "{ring}"]],
+                         ids=lambda argv: argv[0])
+def test_missing_graph_file_is_input_error(capsys, ring_file, tmp_path, argv):
+    # only `learn` starts a new graph; a command that reads one needs the file
+    graph = tmp_path / "nope.cg"
+    code, out, err = run(capsys, *(a.format(ring=ring_file) for a in argv), "--graph", str(graph))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {graph}: ")
+    assert not graph.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

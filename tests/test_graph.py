@@ -177,6 +177,21 @@ _UNCONSTRUCTIBLE = {
         "C 1 0 0 0\nC 1 2 0 0\nC 2 1 0 0\nC 2 0 1 0",
         6,
     ),
+    # only a Composite or a SolutionConcept node has children
+    "primitive-with-children": (
+        "N 0 Primitive 1 cell:x\nN 1 Primitive 1 cell:y\nN 2 Primitive 2 cell:z\n"
+        "C 2 0 0 0\nC 2 1 1 0",
+        4,
+    ),
+    "state-with-children": (
+        "N 0 State 1 state:0,0\nN 1 State 1 state:1,0\nN 2 State 2 state:2,0\n"
+        "C 2 0 0 0\nC 2 1 1 0",
+        4,
+    ),
+    "transformation-with-children": (
+        "N 0 Primitive 1 cell:x\nN 1 Transformation 2 tf:identity\nC 1 0 0 0\nC 1 0 1 0",
+        3,
+    ),
 }
 
 
@@ -200,6 +215,15 @@ def test_create_atom_refuses_composite_kinds():
         with pytest.raises(ValueError):
             g.create_atom(kind, "x")
     assert len(g) == 0
+
+
+def test_create_composite_refuses_atom_kinds():
+    g = ConceptGraph()
+    a, b = g.create_primitive("a"), g.create_primitive("b")
+    for kind in (NodeKind.PRIMITIVE, NodeKind.STATE, NodeKind.TRANSFORMATION):
+        with pytest.raises(ValueError):
+            g.create_composite([(a, (0, 0)), (b, (1, 0))], kind=kind)
+    assert len(g) == 2
 
 
 def _constructed(rng: random.Random) -> ConceptGraph:
