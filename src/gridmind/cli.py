@@ -203,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="enumerate solutions (all, or at most N)",
+        help="enumerate solutions (all, or at most N; N = 0 means all)",
     )
     p.add_argument("--forbid", action="append", metavar="x,y")
     p.add_argument("--trace", default=None)

@@ -106,7 +106,7 @@ class ConceptGraph:
             raise UnknownNodeError(f"no node {node_id}") from None
 
     def node_ids(self) -> list[int]:
-        return sorted(self.nodes)
+        return list(self.nodes)  # ids are dense, in creation order
 
     # -- creation ----------------------------------------------------------
 
@@ -119,16 +119,19 @@ class ConceptGraph:
         return self.create_atom(NodeKind.PRIMITIVE, label, scale)
 
     def create_atom(self, kind: NodeKind, label: str = "", scale: int = 1) -> int:
-        """Childless node of any kind not in `PARENT_KINDS` (primitives,
-        states, transformations)."""
+        """One childless node, made by `create_atoms`, with a positive
+        `scale`."""
         if scale < 1:
             raise ValueError("scale must be positive")
-        if kind in PARENT_KINDS:
-            raise ValueError(f"a {kind.value} node needs children")
-        return self._new_node(kind, label, scale)
+        node_id = self.create_atoms(kind, [label])[0]
+        self.nodes[node_id].scale = scale
+        return node_id
 
     def create_atoms(self, kind: NodeKind, labels: list[str]) -> range:
-        """One childless node of scale 1 per label, with consecutive ids."""
+        """One childless node of scale 1 per label, with consecutive ids, of
+        any kind not in `PARENT_KINDS` (primitives, states, transformations)."""
+        if kind in PARENT_KINDS:
+            raise ValueError(f"a {kind.value} node needs children")
         nodes = self.nodes
         first = len(nodes)
         for node_id, label in enumerate(labels, first):
@@ -234,8 +237,7 @@ class ConceptGraph:
 
     def export_text(self) -> str:
         lines = ["CGRAPH 1"]
-        for node_id in sorted(self.nodes):
-            n = self.nodes[node_id]
+        for n in self.nodes.values():  # in id order
             lines.append(f"N {n.id} {n.kind.value} {n.scale} {_quote(n.label)}")
         for parent, children in self._children.items():  # in id order, children sorted
             lines += [f"C {parent} {child} {dx} {dy}" for child, (dx, dy) in children]
@@ -266,7 +268,9 @@ class ConceptGraph:
         """Parse a `CGRAPH 1` text in one pass and build the graph that
         `create_atom` and `create_composite` would have built.
 
-        Every record is read first. Then each `C` record must place a known
+        Every record is read first: `N` ids must run 0, 1, 2, ... in file
+        order, so a repeated id is refused, and each `M` record goes through
+        `add_mutex` and its checks. Then each `C` record must place a known
         child whose id is below its parent's (checked in file order), so no
         cycle can load. Then, in id order, a node whose kind is not in
         `PARENT_KINDS` must have no links, as `create_atom` makes it, and a
@@ -296,8 +300,6 @@ class ConceptGraph:
                     _, sid, kind_name, sscale, quoted = fields
                     label = _unquote(quoted)
                     node_id, scale = int(sid), int(sscale)
-                    if node_id in g.nodes:
-                        raise ParseError(line_no, f"duplicate node id {node_id}")
                     if kind_name not in kinds:
                         raise ParseError(line_no, f"unknown kind {kind_name!r}")
                     if node_id != len(g.nodes):
@@ -318,16 +320,13 @@ class ConceptGraph:
                     g.excitatory[_pair(ia, ib)] = iw
                 elif tag == "M":
                     _, a, b = fields
-                    ia, ib = int(a), int(b)
-                    if ia not in g.nodes or ib not in g.nodes:
-                        raise ParseError(line_no, "mutex link to unknown node")
-                    if ia == ib:
-                        raise ParseError(line_no, "mutex link must join distinct nodes")
-                    g.add_mutex(ia, ib)
+                    g.add_mutex(int(a), int(b))
                 else:
                     raise ParseError(line_no, f"unknown record tag {tag!r}")
             except ParseError:
                 raise
+            except GraphError as exc:  # add_mutex's checks
+                raise ParseError(line_no, f"mutex link: {exc}") from None
             except (ValueError, IndexError) as exc:
                 raise ParseError(line_no, f"malformed record: {exc}") from None
         nodes, count = g.nodes, len(g.nodes)

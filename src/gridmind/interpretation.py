@@ -160,16 +160,10 @@ def explain_features(
     return maximal
 
 
-def explain(
-    learner: Learner, g: Grid, sessions: SessionStack | None = None
-) -> list[Explanation]:
+def explain(learner: Learner, g: Grid) -> list[Explanation]:
     """Explain a grid: detect its features, then cover them with composites."""
-    if g.is_empty():
-        return [Explanation(frozenset(), frozenset(), frozenset())]
     nodes = [learner._lookup_feature_node(f) for f in extract_features(g)]
-    result = explain_features(
-        learner.graph, {n for n in nodes if n is not None}, sessions
-    )
+    result = explain_features(learner.graph, {n for n in nodes if n is not None})
     # features with no node at all are novelty the search cannot see
     if None in nodes and not any(e.novel for e in result):
         result.append(

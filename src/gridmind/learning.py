@@ -273,11 +273,7 @@ def transformation_candidates(before: Grid, after: Grid) -> list[Transformation]
     if t is not None:
         out.append(t)
     out.extend(_ROTATIONS_AND_REFLECTIONS)
-    if (
-        before.width >= 1
-        and after.width % before.width == 0
-        and after.height % before.height == 0
-    ):
+    if after.width % before.width == 0 and after.height % before.height == 0:
         k = after.width // before.width
         if k >= 2 and after.height // before.height == k:
             out.append(Transformation("scale", k=k))
@@ -324,8 +320,7 @@ class Learner:
         prim = self.labeled_node(PRIMITIVE_PREFIX + feat.symbol)
         if feat.offsets == frozenset([(0, 0)]):
             return prim
-        children = [(prim, off) for off in sorted(feat.offsets)]
-        return self.graph.create_composite(children)
+        return self.graph.create_composite([(prim, off) for off in feat.offsets])
 
     def _lookup_feature_node(self, feat: FeatureInstance) -> int | None:
         prim = self._labeled.get((NodeKind.PRIMITIVE, PRIMITIVE_PREFIX + feat.symbol))
@@ -333,8 +328,7 @@ class Learner:
             return None
         if feat.offsets == frozenset([(0, 0)]):
             return prim
-        children = [(prim, off) for off in sorted(feat.offsets)]
-        return self.graph.find_composite(children)
+        return self.graph.find_composite([(prim, off) for off in feat.offsets])
 
     def labeled_node(self, label: str, kind: NodeKind = NodeKind.PRIMITIVE) -> int:
         node_id = self._labeled.get((kind, label))
@@ -360,7 +354,7 @@ class Learner:
             children = [(n, (ax - px, ay - py)) for n, (ax, ay) in instances]
             root = self.graph.create_composite(children)
             lookups += 1
-        self.graph.record_association(sorted({n for n, _ in instances}))
+        self.graph.record_association(n for n, _ in instances)
         created = len(self.graph) - before
         return ObserveReport(root, created, lookups - created)
 
@@ -555,17 +549,14 @@ class Learner:
 
     # imagination
 
-    def imagine(self, seed: int, steps: int, sessions: SessionStack | None = None) -> list[int]:
+    def imagine(self, seed: int, steps: int) -> list[int]:
         self.graph.node(seed)
         visited = {seed}
         chain = []
         current = seed
         for _ in range(steps):
             options = [
-                (w, n)
-                for w, n in self.graph.neighbors_by_weight(current)
-                if n not in visited
-                and (sessions is None or not sessions.is_inhibited(n))
+                (w, n) for w, n in self.graph.neighbors_by_weight(current) if n not in visited
             ]
             if not options:
                 break

@@ -1,10 +1,12 @@
 """Grounded problem solving on corridor mazes and single-box push puzzles.
 
 The state space is implicit: a search steps from the states it reaches
-and nothing else, and a state gets a concept node only when a path or an
-inhibition names it. Inside a `StateSpace` a state is one int: the agent's
-cell index `y * width + x` in a maze, `agent * (width * height) + box` in
-a push puzzle. A push-puzzle space keeps a table from a free cell to the
+and nothing else, and a state gets a concept node only from a path a
+search returns or from the full build; `node_of` raises `KeyError` for a
+state with no node, so read `states` or `view()` first to name them all.
+Inside a `StateSpace` a state is one int: the agent's cell index
+`y * width + x` in a maze, `agent * (width * height) + box` in a push
+puzzle. A push-puzzle space keeps a table from a free cell to the
 cell one move away in each direction (or -1), filled one cell at a time
 the first time a search reaches the cell; a maze state is its own cell.
 Each state a search steps from keeps its successors as a list of ints.
@@ -163,23 +165,14 @@ class _Cells(dict):
 
 
 class _NodeOf(Mapping):
-    """State -> concept node; a state's node is created on its first lookup."""
+    """State -> concept node, over the states that have a node. Looking a
+    state up never names it: a state with no node raises `KeyError`."""
 
     def __init__(self, space: StateSpace):
         self._space = space
 
     def __getitem__(self, state: State) -> int:
-        space = self._space
-        code = space._encode(state)
-        if code not in space._node:
-            space._name_all((code,))
-        return space._node[code]
-
-    def __contains__(self, state) -> bool:
-        try:
-            return self._space._encode(state) in self._space._node
-        except KeyError:
-            return False
+        return self._space._node[self._space._encode(state)]
 
     def __iter__(self) -> Iterator[State]:
         return iter(self._space._decode_all(self._space._node))
@@ -226,16 +219,18 @@ class StateSpace:
     state is its agent's cell and is stepped from once, so its successor
     list is its cell's row and a maze keeps no table.
 
-    `State` tuples appear only at the boundary. `node_of` gives a state its
-    concept node the first time it is looked up, and `state_of` maps the
-    node back. Each access makes a fresh read-only view over `_node` or
-    `_code`; the space stores no view, so it closes no reference cycle and
-    is freed as soon as the last reference to it goes. `states`,
-    `transitions` and `view()` build the whole reachable space once, on
-    first use, and name every state not yet named in one batch, in
-    breadth-first order. The full build keeps only that order, `_order`,
-    and the successor lists in `_succ`; the views and `prune_deadlocks`
-    derive all else from these.
+    `State` tuples appear only at the boundary. `node_of` maps a state to
+    its concept node and `state_of` maps the node back. A state gets a node
+    only from a path a search returns or from the full build, and `node_of`
+    raises `KeyError` for a state with none, so read `states` or `view()`
+    first to name every reachable state. Each access makes a fresh
+    read-only view over `_node` or `_code`; the space stores no view, so it
+    closes no reference cycle and is freed as soon as the last reference to
+    it goes. `states`, `transitions` and `view()` build the whole reachable
+    space once, on first use, and name every state not yet named in one
+    batch, in breadth-first order. The full build keeps only that order,
+    `_order`, and the successor lists in `_succ`; the views and
+    `prune_deadlocks` derive all else from these.
     """
 
     def __init__(self, env: Environment):

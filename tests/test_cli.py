@@ -232,6 +232,14 @@ def test_solve_enumerate_limit(capsys, tmp_path):
     assert out.splitlines()[-1] == "TOTAL 1"
 
 
+def test_solve_enumerate_zero_lists_every_route(capsys, tmp_path):
+    env = tmp_path / "c.env"
+    env.write_text("S..\n...\n..G\n")
+    every = run(capsys, "solve", str(env), "--enumerate")
+    assert every[1].splitlines()[-1] == "TOTAL 12"
+    assert run(capsys, "solve", str(env), "--enumerate", "0") == every
+
+
 def test_solve_negative_enumerate_is_input_error(capsys, tmp_path):
     env = tmp_path / "c.env"
     env.write_text("S.\n.G\n")
@@ -555,6 +563,14 @@ def test_graph_export_is_byte_identical(capsys, ring_file, tmp_path):
     assert code == 0
     assert out.startswith("EXPORTED ")
     assert dest.read_text() == (tmp_path / "g.cg").read_text()
+
+
+def test_graph_export_without_destination_is_input_error(capsys, ring_file, tmp_path):
+    graph = str(tmp_path / "g.cg")
+    run(capsys, "learn", ring_file, "--graph", graph)
+    code, out, err = run(capsys, "graph", "export", graph)
+    assert (code, out) == (2, "")
+    assert "destination" in err
 
 
 def test_graph_import_reports_counts(capsys, ring_file, tmp_path):

@@ -192,6 +192,11 @@ _UNCONSTRUCTIBLE = {
         "N 0 Primitive 1 cell:x\nN 1 Transformation 2 tf:identity\nC 1 0 0 0\nC 1 0 1 0",
         3,
     ),
+    "unknown-kind": ("N 0 Widget 1 cell:x", 2),
+    "repeated-id": ("N 0 Primitive 1 cell:x\nN 0 Primitive 1 cell:y", 3),
+    "zero-weight": ("N 0 Primitive 1 cell:x\nN 1 Primitive 1 cell:y\nE 0 1 0", 4),
+    "mutex-to-unknown": ("N 0 Primitive 1 cell:x\nM 0 5", 3),
+    "self-mutex": ("N 0 Primitive 1 cell:x\nM 0 0", 3),
 }
 
 
@@ -215,6 +220,27 @@ def test_create_atom_refuses_composite_kinds():
         with pytest.raises(ValueError):
             g.create_atom(kind, "x")
     assert len(g) == 0
+
+
+@pytest.mark.parametrize("kind", [NodeKind.COMPOSITE, NodeKind.SOLUTION])
+def test_create_atoms_refuses_composite_kinds(kind):
+    g = ConceptGraph()
+    with pytest.raises(ValueError, match="needs children"):
+        g.create_atoms(kind, ["x"])
+    assert len(g) == 0
+
+
+def test_create_atom_refuses_zero_scale():
+    g = ConceptGraph()
+    with pytest.raises(ValueError, match="scale"):
+        g.create_atom(NodeKind.PRIMITIVE, "x", scale=0)
+    assert len(g) == 0
+
+
+def test_import_skips_blank_lines():
+    g = ConceptGraph.import_text("CGRAPH 1\nN 0 Primitive 1 a\n\n  \nN 1 Primitive 1 b\nM 0 1\n")
+    assert [g.nodes[n].label for n in g.node_ids()] == ["a", "b"]
+    assert g.mutex == {(0, 1)}
 
 
 def test_create_composite_refuses_atom_kinds():

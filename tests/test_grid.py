@@ -1,0 +1,26 @@
+"""Grid inputs: size limits, cell checks and parsing."""
+
+import pytest
+
+from gridmind import Grid
+from gridmind.grid import GridError
+
+
+def test_from_text_refuses_a_row_wider_than_the_limit():
+    with pytest.raises(GridError, match="257x1"):
+        Grid.from_text("x" * 257 + "\n")
+
+
+def test_cell_outside_the_grid_is_refused():
+    with pytest.raises(GridError, match="outside"):
+        Grid(2, 2, {(5, 0): "x"})
+
+
+def test_from_text_drops_trailing_blank_lines():
+    assert Grid.from_text("x.\n.x\n\n  \n") == Grid(2, 2, {(0, 0): "x", (1, 1): "x"})
+
+
+def test_from_cells_of_nothing_is_an_empty_one_cell_grid():
+    g = Grid.from_cells({})
+    assert (g.width, g.height) == (1, 1)
+    assert g.is_empty()

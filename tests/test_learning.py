@@ -515,6 +515,23 @@ def test_transformation_of_bad_loaded_label_is_learning_error(label):
         Learner(graph).transformation_of(0)
 
 
+def test_transformation_of_a_node_that_is_no_transformation_is_learning_error():
+    learner = Learner()
+    node = learner.labeled_node("cell:x")
+    with pytest.raises(LearningError, match="not a transformation"):
+        learner.transformation_of(node)
+
+
+def test_scale_past_the_canvas_is_bounds_error():
+    with pytest.raises(BoundsError):
+        Transformation("scale", k=2).apply(Grid(200, 1, {(0, 0): "x"}))
+
+
+def test_learn_transformation_from_an_empty_grid_is_rejected():
+    with pytest.raises(EmptyInputError):
+        Learner().learn_transformation(Grid(2, 2, {}), Grid.from_text("x\n"), "noop")
+
+
 @pytest.mark.parametrize("label_first", [True, False])
 def test_labeled_node_and_observe_share_one_primitive(label_first):
     learner = Learner()

@@ -60,6 +60,37 @@ def test_environment_validation():
         Environment.from_text("S\n" + ".\n" * 255 + "G\n")  # 257 tall
 
 
+def test_environment_drops_trailing_blank_lines():
+    env = Environment.from_text("S.G\n\n   \n")
+    assert (env.width, env.height) == (3, 1)
+
+
+@pytest.mark.parametrize("mark", ["start", "goal", "box", "box_target"])
+def test_state_space_refuses_a_mark_on_a_wall(mark):
+    env = Environment.from_text("S.G\n#B.\n..T\n")
+    with pytest.raises(InvalidEnvError, match="on a wall"):
+        StateSpace(replace(env, **{mark: (0, 1)}))
+
+
+@pytest.mark.parametrize(
+    "text, state",
+    [
+        ("S..\n.#.\n..G\n", State((1, 1))),
+        ("S.B\n..T\n.G.\n", State((2, 0), (2, 0))),
+        ("S..\n.#.\n..G\n", State((0, 2))),
+    ],
+    ids=["wall", "agent-on-box", "reachable-off-the-path"],
+)
+def test_node_of_never_names_a_state(text, state):
+    space = StateSpace(Environment.from_text(text))
+    solve(space)
+    size = len(space.graph)
+    assert state not in space.node_of
+    with pytest.raises(KeyError):
+        space.node_of[state]
+    assert len(space.graph) == size
+
+
 def test_corridor_state_graph():
     space = StateSpace(Environment.from_text(CORRIDOR))
     assert len(space.states) == 3
