@@ -270,13 +270,17 @@ class ConceptGraph:
 
         Every record is read first: `N` ids must run 0, 1, 2, ... in file
         order, so a repeated id is refused, and each `M` record goes through
-        `add_mutex` and its checks. Then each `C` record must place a known
-        child whose id is below its parent's (checked in file order), so no
-        cycle can load. Then, in id order, a node whose kind is not in
-        `PARENT_KINDS` must have no links, as `create_atom` makes it, and a
-        node whose kind is must be one `create_composite` makes: at least 2
-        distinct (child, role) pairs, a child set no earlier node has, and a
-        scale that is the sum of its children's.
+        `add_mutex` and its checks. A second `E` record for one pair of
+        nodes is refused: a pair has one weight, and no export writes two.
+        A repeated `M` record loads as one link, since `add_mutex` is
+        idempotent, as a repeated `C` record loads as one child. Then each
+        `C` record must place a known child whose id is below its parent's
+        (checked in file order), so no cycle can load. Then, in id order, a
+        node whose kind is not in `PARENT_KINDS` must have no links, as
+        `create_atom` makes it, and a node whose kind is must be one
+        `create_composite` makes: at least 2 distinct (child, role) pairs, a
+        child set no earlier node has, and a scale that is the sum of its
+        children's.
         Any record that breaks a rule is a `ParseError` naming its line.
         """
         lines = text.splitlines()
@@ -317,6 +321,8 @@ class ConceptGraph:
                         raise ParseError(line_no, "excitatory link must join distinct nodes")
                     if iw < 1:
                         raise ParseError(line_no, f"weight must be >= 1, got {iw}")
+                    if _pair(ia, ib) in g.excitatory:
+                        raise ParseError(line_no, f"second excitatory link between {ia} and {ib}")
                     g.excitatory[_pair(ia, ib)] = iw
                 elif tag == "M":
                     _, a, b = fields

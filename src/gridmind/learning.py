@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .graph import ConceptGraph, NodeKind
 from .grid import MAX_DIM, Grid, GridError
@@ -55,11 +56,23 @@ class FeatureInstance:
     anchor: Coord
 
 
-@dataclass(frozen=True)
-class RecognitionMatch:
+class RecognitionMatch(NamedTuple):
+    """A composite `recognize` found, the anchor it is placed at and its
+    score. A named tuple, so it is cheap to build, with read-only fields;
+    but it equals only another match, never a plain tuple, and it hashes
+    as the tuple of its fields, as a frozen dataclass does."""
+
     concept: int
     anchor: Coord
     score: Fraction
+
+    def __eq__(self, other):
+        return type(other) is RecognitionMatch and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
 
 @dataclass(frozen=True)
@@ -313,6 +326,10 @@ class Learner:
         for node in self.graph.nodes.values():
             if node.label:
                 self._labeled.setdefault((node.kind, node.label), node.id)
+        # `recognize`'s row width W, which only grows, and each composite's
+        # parts as (child, dy * W + dx), filled on its first vote
+        self._row_width = 4 * MAX_DIM
+        self._coded_parts: dict[int, tuple[tuple[int, int], ...]] = {}
 
     # node helpers
 
@@ -422,45 +439,63 @@ class Learner:
         ties) over its number of parts; a composite detected as a feature
         scores 1 at its top-left-most instance.
 
-        Anchors are counted as `(y, x)` keys in one dict per composite, so
-        the plain `min` over the tied keys is the top-left-most anchor. The
-        composites found are bucketed by `(hits, parts)`; buckets with equal
-        scores (1/2 and 2/4) are merged, the scores are walked best first,
-        and each bucket is sorted on plain `(-scale, concept, anchor)`
-        tuples: larger scale first, then lower id.
+        Anchors and roles are coded as ints in rows of width W: an anchor
+        (x, y) as `y * W + x + W // 2`, a role (dx, dy) as `dy * W + dx`, so
+        a vote is one subtraction and the plain `min` over tied votes is
+        the top-left-most anchor. A vote `k` decodes to
+        `(k % W - W // 2, k // W)`, which is exact while every `x - dx` lies
+        in `[-W/2, W/2)`. A probe's x lies in `[0, MAX_DIM)`, so W, which
+        starts at `4 * MAX_DIM`, doubles until `W >= 2 * (|dx| + MAX_DIM)`
+        whenever a composite with a wider role is first coded, and every
+        part coded with the old W is dropped. Each composite's coded parts
+        are kept in a table on the learner, filled on the composite's first
+        vote; a node's children never change, so nothing else invalidates
+        the table.
+
+        The composites found are bucketed by `(hits, parts)`; buckets with
+        equal scores (1/2 and 2/4) are merged, the scores are walked best
+        first, and each bucket is sorted on plain `(-scale, concept,
+        anchor)` tuples: larger scale first, then lower id.
         """
-        anchors: dict[int, list[Coord]] = {}  # detected node -> its (y, x) anchors in g
+        detected: dict[int, list[Coord]] = {}  # detected node -> its anchors in g
         for feat in extract_features(g):
             node_id = self._lookup_feature_node(feat)
             if node_id is not None:
-                x, y = feat.anchor
-                anchors.setdefault(node_id, []).append((y, x))
+                detected.setdefault(node_id, []).append(feat.anchor)
         nodes, children = self.graph.nodes, self.graph._children
-        candidates = set(anchors).union(*(self.graph._parents.get(n, ()) for n in anchors))
-        buckets: dict[tuple[int, int], list] = {}  # (hits, parts) -> (-scale, concept, (y, x))
-        for node_id in candidates:
-            node = nodes[node_id]
-            if node.kind is not NodeKind.COMPOSITE:
-                continue
-            if sessions is not None and sessions.is_inhibited(node_id):
-                continue
+        voters = [
+            node_id
+            for node_id in set(detected).union(*(self.graph._parents.get(n, ()) for n in detected))
+            if nodes[node_id].kind is NodeKind.COMPOSITE
+            and (sessions is None or not sessions.is_inhibited(node_id))
+        ]
+        table = self._coded_parts
+        uncoded = [n for n in voters if n not in table]
+        reach = max((abs(dx) for n in uncoded for _, (dx, _) in children[n]), default=0)
+        while 2 * (reach + MAX_DIM) > self._row_width:
+            self._row_width *= 2
+            table.clear()
+            uncoded = voters
+        w, half = self._row_width, self._row_width // 2
+        for n in uncoded:
+            table[n] = tuple([(child, dy * w + dx) for child, (dx, dy) in children[n]])
+        anchors = {n: [y * w + x + half for x, y in xys] for n, xys in detected.items()}
+        buckets: dict[tuple[int, int], list] = {}  # (hits, parts) -> (-scale, concept, anchor)
+        for node_id in voters:
             if node_id in anchors:
                 key, anchor = (1, 1), min(anchors[node_id])
             else:
-                votes: dict[Coord, int] = {}
+                votes: dict[int, int] = {}
                 count = votes.get
-                parts = children[node_id]
-                for child, (dx, dy) in parts:
-                    for ay, ax in anchors.get(child, ()):
-                        a = (ay - dy, ax - dx)
+                parts = table[node_id]
+                for child, d in parts:
+                    for a in anchors.get(child, ()):
+                        a -= d
                         votes[a] = count(a, 0) + 1
                 hits = max(votes.values())
-                if hits == 1:
-                    anchor = min(votes)
-                else:
-                    anchor = min([a for a, n in votes.items() if n == hits])
+                anchor = min(votes if hits == 1 else [a for a, n in votes.items() if n == hits])
                 key = (hits, len(parts))
-            buckets.setdefault(key, []).append((-node.scale, node_id, anchor))
+            buckets.setdefault(key, []).append((-nodes[node_id].scale, node_id, anchor))
         by_score: dict[Fraction, list] = {}
         for key, bucket in buckets.items():
             by_score.setdefault(Fraction(*key), []).extend(bucket)
@@ -468,7 +503,7 @@ class Learner:
         for score in sorted(by_score, reverse=True):
             bucket = by_score[score]
             bucket.sort()
-            matches += [RecognitionMatch(node_id, (x, y), score) for _, node_id, (y, x) in bucket]
+            matches += [RecognitionMatch(n, (k % w - half, k // w), score) for _, n, k in bucket]
         return matches
 
     def match_under_transformations(

@@ -197,6 +197,9 @@ _UNCONSTRUCTIBLE = {
     "zero-weight": ("N 0 Primitive 1 cell:x\nN 1 Primitive 1 cell:y\nE 0 1 0", 4),
     "mutex-to-unknown": ("N 0 Primitive 1 cell:x\nM 0 5", 3),
     "self-mutex": ("N 0 Primitive 1 cell:x\nM 0 0", 3),
+    # a pair has one weight, and record_association counts, so a second
+    # record cannot be a later update of the first
+    "repeated-excitatory": ("N 0 Primitive 1 cell:x\nN 1 Primitive 1 cell:y\nE 0 1 3\nE 1 0 5", 5),
 }
 
 
@@ -212,6 +215,29 @@ def test_import_refuses_what_construction_cannot_build(capsys, tmp_path, records
     path.write_text(text)
     assert main(["graph", "import", str(path)]) == 2
     assert f": line {line_no}: " in capsys.readouterr().err
+
+
+# Files with a record said twice that load as if it were said once: a
+# mutex link and a composition link are members of a set. Each is paired
+# with the records its graph exports.
+_REPEATS_THAT_LOAD = {
+    "repeated-mutex": (
+        "N 0 Primitive 1 cell:x\nN 1 Primitive 1 cell:y\nM 0 1\nM 1 0",
+        "N 0 Primitive 1 cell:x\nN 1 Primitive 1 cell:y\nM 0 1",
+    ),
+    "repeated-composition": (
+        'N 0 Primitive 1 cell:x\nN 1 Composite 2 ""\nC 1 0 0 0\nC 1 0 1 0\nC 1 0 0 0',
+        'N 0 Primitive 1 cell:x\nN 1 Composite 2 ""\nC 1 0 0 0\nC 1 0 1 0',
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "records, exported", list(_REPEATS_THAT_LOAD.values()), ids=list(_REPEATS_THAT_LOAD)
+)
+def test_import_loads_a_repeated_set_member_once(records, exported):
+    g = ConceptGraph.import_text(f"CGRAPH 1\n{records}\n")
+    assert g.export_text() == f"CGRAPH 1\n{exported}\n"
 
 
 def test_create_atom_refuses_composite_kinds():

@@ -18,12 +18,14 @@ from gridmind import (
     Transformation,
     extract_features,
 )
+from gridmind.grid import MAX_DIM
 from gridmind.learning import (
     BoundsError,
     EmptyInputError,
     InhibitedError,
     LearningError,
     NoFitError,
+    RecognitionMatch,
     find_transformation,
 )
 from oracles import random_grid, recognition_oracle
@@ -303,6 +305,77 @@ def test_recognize_matches_oracle_random():
                 and Transformation("translate", dx=dx, dy=dy).inverse_apply(probe) is not None
             }
             assert listed == fits
+
+
+# role offsets at and past what a learned composite holds: a learned role
+# has |dx| < MAX_DIM, and create_composite and import accept any int
+_FAR = (0, MAX_DIM - 1, 1 - MAX_DIM, 4 * MAX_DIM, -4 * MAX_DIM, 10**6, -(10**6))
+
+
+def _add_composites(rng, graph, pool, count, offsets):
+    """`count` composites over `pool` whose parts lie within a few cells of
+    each other, around a role offset drawn from `offsets` on each axis."""
+    for _ in range(count):
+        dx, dy = rng.choice(offsets), rng.choice(offsets)
+        children = [
+            (rng.choice(pool), (dx + rng.randint(0, 3), dy + rng.randint(0, 2)))
+            for _ in range(rng.randint(2, 4))
+        ]
+        if len(set(children)) >= 2:
+            graph.create_composite(children)
+
+
+def _wide_probe(rng):
+    w, h = rng.randint(1, MAX_DIM), rng.randint(1, 3)
+    cells = {(x, y): rng.choice("ab") for y in range(h) for x in range(w) if rng.random() < 0.3}
+    return Grid(w, h, cells or {(0, 0): "a"})
+
+
+def test_recognize_matches_oracle_for_far_roles():
+    """Composites built with create_composite at roles far past the canvas
+    are recognized as the oracle finds them, on probes up to MAX_DIM wide,
+    before and after wider roles join a graph a learner already votes on,
+    and on the same graph exported and imported."""
+    rng = random.Random(67)
+    for case in range(24):
+        graph = ConceptGraph()
+        prims = [graph.create_primitive("cell:" + s) for s in "ab"]
+        # two-cell runs, so a probe's runs are detected as composites too
+        pool = prims + [graph.create_composite([(p, (0, 0)), (p, (1, 0))]) for p in prims]
+        learner = Learner(graph)
+        # first roles a learned composite can hold, then far ones as well
+        for offsets in (_FAR[:3], _FAR):
+            _add_composites(rng, graph, pool, rng.randint(2, 5), offsets)
+            sessions = None
+            if case % 2:
+                sessions = SessionStack(graph)
+                sessions.begin_session()
+                composites = [n for n, node in graph.nodes.items() if node.kind is NodeKind.COMPOSITE]
+                for n in rng.sample(composites, rng.randint(1, 2)):
+                    sessions.inhibit(n)
+            inhibited = sessions.inhibited_nodes() if sessions else set()
+            loaded = Learner(ConceptGraph.import_text(graph.export_text()))
+            for _ in range(3):
+                probe = _wide_probe(rng)
+                expected = recognition_oracle(graph, probe, inhibited)
+                for recognizer in (learner, loaded):
+                    got = recognizer.recognize(probe, sessions)
+                    assert [(m.concept, m.anchor, m.score) for m in got] == expected
+
+
+def test_recognition_match_equals_only_a_match():
+    m = RecognitionMatch(3, (1, 2), Fraction(1, 2))
+    same = RecognitionMatch(3, (1, 2), Fraction(2, 4))
+    assert m == same and not m != same
+    assert hash(m) == hash(same) == hash((3, (1, 2), Fraction(1, 2)))
+    assert m != RecognitionMatch(4, (1, 2), Fraction(1, 2))
+    plain = (3, (1, 2), Fraction(1, 2))
+    assert m != plain and plain != m
+    assert not m == plain and not plain == m
+    assert repr(m) == "RecognitionMatch(concept=3, anchor=(1, 2), score=Fraction(1, 2))"
+    for field in ("concept", "anchor", "score"):
+        with pytest.raises(AttributeError):
+            setattr(m, field, 0)
 
 
 def _transformation_oracle(graph, probe):

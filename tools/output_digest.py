@@ -1,0 +1,83 @@
+"""Print one sha256 per perfbench workload over the outputs of its ops.
+
+Runs every op of the four workloads in `perfbench/workloads.py` for seeds
+1-3, in order and each followed by its check, as `perfbench/run.py` runs a
+pass (the cli ops read state their checks record). Each op's output, or the
+exception it raised, is made canonical, and its check's verdict is added:
+
+- a `ConceptGraph` becomes its `export_text()`, and a `StateSpace` its graph;
+- a `RecognitionMatch` becomes `(concept, anchor, str(score))`, and a
+  `Transformation` its `str`;
+- dataclasses, tuples, lists and sets become nested lists of the same;
+- the pass's work directory is replaced by a fixed token in every string.
+
+Two checkouts whose programs give the same outputs print the same digests.
+Standard library only; no options. Usage: python tools/output_digest.py
+"""
+
+import dataclasses
+import hashlib
+import sys
+import tempfile
+from enum import Enum
+from fractions import Fraction
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
+
+import gridmind as gm  # noqa: E402
+import workloads  # noqa: E402
+from gridmind.learning import RecognitionMatch  # noqa: E402
+
+SEEDS = (1, 2, 3)
+WORKDIR_TOKEN = "<workdir>"
+
+
+def canonical(value, workdir: str):
+    if isinstance(value, str):
+        return value.replace(workdir, WORKDIR_TOKEN)
+    if isinstance(value, (int, Fraction, Enum)) or value is None:
+        return repr(value)
+    if isinstance(value, gm.ConceptGraph):
+        return value.export_text()
+    if isinstance(value, gm.StateSpace):
+        return value.graph.export_text()
+    if isinstance(value, RecognitionMatch):
+        return [value.concept, list(value.anchor), str(value.score)]
+    if isinstance(value, gm.Transformation):
+        return str(value)
+    if dataclasses.is_dataclass(value):
+        fields = [getattr(value, f.name) for f in dataclasses.fields(value)]
+        return [type(value).__name__, *(canonical(v, workdir) for v in fields)]
+    if isinstance(value, (tuple, list)):
+        return [canonical(v, workdir) for v in value]
+    if isinstance(value, (set, frozenset)):
+        return sorted(repr(canonical(v, workdir)) for v in value)
+    raise TypeError(f"no canonical form for {type(value).__name__}")
+
+
+def digest(build) -> tuple[str, int, int]:
+    """sha256 over every op's canonical output and check verdict for all
+    seeds, with the op and failure counts."""
+    sha, ops_run, failed = hashlib.sha256(), 0, 0
+    for seed in SEEDS:
+        with tempfile.TemporaryDirectory() as tmp:
+            workdir = str(Path(tmp) / "pass")
+            for op in build(seed, Path(workdir)):
+                try:
+                    out = op.run()
+                except Exception as exc:
+                    out, verdict = f"{type(exc).__name__}: {exc}", "raised"
+                else:
+                    verdict = op.check(out)
+                failed += verdict is not None
+                ops_run += 1
+                record = [op.kind, canonical(out, workdir), canonical(verdict, workdir)]
+                sha.update(repr(record).encode("utf-8") + b"\n")
+    return sha.hexdigest(), ops_run, failed
+
+
+for name, build in workloads.WORKLOADS.items():
+    hexdigest, ops_run, failed = digest(build)
+    print(f"{hexdigest}  {name}  ({ops_run} ops, {failed} failed)")
