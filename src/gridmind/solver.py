@@ -6,9 +6,12 @@ search returns or from the full build; `node_of` raises `KeyError` for a
 state with no node, so read `states` or `view()` first to name them all.
 Inside a `StateSpace` a state is one int: the agent's cell index
 `y * width + x` in a maze, `agent * (width * height) + box` in a push
-puzzle. A push-puzzle space keeps a table from a free cell to the
-cell one move away in each direction (or -1), filled one cell at a time
-the first time a search reaches the cell; a maze state is its own cell.
+puzzle. Every space keeps `_free`, a row-major byte table with 1 for each
+free cell, filled from the walls at construction in O(walls). A maze state
+is its own cell, and a step from it reads four bytes of `_free`. A
+push-puzzle space keeps a table from a free cell to the cell one move away
+in each direction (or -1), read off `_free` one cell at a time the first
+time a search reaches the cell.
 Each state a search steps from keeps its successors as a list of ints.
 The searches, the memo, the state budget, deadlock pruning and the
 full build all run on these ints; `State` tuples are decoded only for the
@@ -21,11 +24,12 @@ with parent pointers that skips blocked states: those inhibited in the
 caller's sessions and, under constraints, those on a forbidden cell. Yen's
 algorithm (1971) runs it again from each branching point of the paths
 found so far, which yields every loopless start-to-goal path in
-nondecreasing length. Before any state search, a push puzzle has no
-solution when its box starts on a dead square (one from which no push
-sequence reaches the target, whatever the agent's position) or when walls
-alone keep the agent from its goal; this takes O(cells), so an unsolvable
-large room answers without meeting the state budget. Enumeration first
+nondecreasing length; its spur searches may reach `MAX_SPUR_STATES` states
+in all. Before any state search, a push puzzle has no solution when its
+box starts on a dead square (one from which no push sequence reaches the
+target, whatever the agent's position) or when walls alone keep the agent
+from its goal; this takes O(cells), so an unsolvable large room answers
+without meeting the state budget. Enumeration first
 inhibits deadlock states (states from which no goal state is reachable,
 plus iterated cul-de-sac cells in mazes) in the caller's sessions, which
 needs the whole space and reads only its successor lists; a single solve
@@ -60,6 +64,12 @@ FREE_CHARS = {".", " "}
 # MAX_DIM x MAX_DIM fits, and so does every push puzzle up to about a 16 x 16
 # open room; beyond that a push space grows as the square of its cells.
 MAX_STATES = MAX_DIM * MAX_DIM
+
+# Most states Yen's spur searches may reach in one enumeration, summed over
+# the searches. Listing every route of a 5 x 5 open room (about 287,000)
+# fits, and so do the first 3 routes of a 64 x 64 open room; a 6 x 6 room
+# has too many routes to list and meets the budget in about 2 s.
+MAX_SPUR_STATES = 16 * MAX_STATES
 
 
 class InvalidEnvError(Exception):
@@ -210,14 +220,17 @@ class StateSpace:
     labels. `_node` maps a state to its concept node and `_code` maps the
     node back; `_name_all` names states in one batch of childless graph
     atoms. `_succ` maps each state a search has stepped from to the states
-    one move away, in `DIRECTIONS` order; `MAX_STATES` bounds its size. A
-    push puzzle's `_moves` is the cell table: for each free cell, the cell
-    one move away in each of the `DIRECTIONS`, or -1 where a wall or the
-    border blocks. A cell's row is filled the first time a search reaches the
-    cell, so a short search in a large room pays only for the cells it
-    touches, and every state with the agent on that cell reuses it. A maze
-    state is its agent's cell and is stepped from once, so its successor
-    list is its cell's row and a maze keeps no table.
+    one move away, in `DIRECTIONS` order; `MAX_STATES` bounds its size.
+    `_free` is one byte per cell, row-major, 1 where the cell is free; the
+    constructor fills it from `env.walls` in O(walls). A maze state is its
+    agent's cell and is stepped from once, so `_expand` appends its free
+    neighbours straight from the four bytes around it, and a maze keeps no
+    other table. A push puzzle's `_moves` is the cell table: for each free
+    cell, the cell one move away in each of the `DIRECTIONS`, or -1 where a
+    wall or the border blocks, read off `_free` by `_row`. A cell's row is
+    filled the first time a search reaches the cell, so a short search in a
+    large room steps only from the cells it touches, and every state with
+    the agent on that cell reuses the row.
 
     `State` tuples appear only at the boundary. `node_of` maps a state to
     its concept node and `state_of` maps the node back. A state gets a node
@@ -247,6 +260,9 @@ class StateSpace:
         self._cells = _Cells(env.width)
         self._node: dict[int, int] = {}  # state -> its concept node
         self._code: dict[int, int] = {}  # concept node -> its state
+        free = self._free = bytearray(b"\x01") * (env.width * env.height)
+        for x, y in env.walls:
+            free[y * env.width + x] = 0
         self._moves: list[Optional[tuple[int, int, int, int]]] = (
             [None] * self._per_agent if env.box is not None else []
         )
@@ -302,15 +318,15 @@ class StateSpace:
 
     def _row(self, cell: int) -> tuple[int, int, int, int]:
         """The cells one move from a free cell, in `DIRECTIONS` order (N, E,
-        S, W), with -1 where a wall or the border blocks the move."""
-        env = self.env
-        width, walls = env.width, env.walls
-        y, x = divmod(cell, width)
+        S, W), with -1 where a wall or the border blocks the move. A maze's
+        `_expand` makes these four tests inline; change both together."""
+        free, width = self._free, self.env.width
+        x = cell % width
         return (
-            cell - width if y > 0 and (x, y - 1) not in walls else -1,
-            cell + 1 if x + 1 < width and (x + 1, y) not in walls else -1,
-            cell + width if y + 1 < env.height and (x, y + 1) not in walls else -1,
-            cell - 1 if x > 0 and (x - 1, y) not in walls else -1,
+            cell - width if cell >= width and free[cell - width] else -1,
+            cell + 1 if x + 1 < width and free[cell + 1] else -1,
+            cell + width if cell + width < len(free) and free[cell + width] else -1,
+            cell - 1 if x and free[cell - 1] else -1,
         )
 
     def _expand(self, state: int) -> list[int]:
@@ -318,7 +334,17 @@ class StateSpace:
         if len(self._succ) >= MAX_STATES:
             raise InvalidEnvError(f"the search space exceeds {MAX_STATES} states")
         if self.env.box is None:  # a maze state is its cell, stepped from once
-            succs = [cell for cell in self._row(state) if cell >= 0]
+            free, width = self._free, self.env.width
+            x = state % width
+            succs = []
+            if state >= width and free[state - width]:
+                succs.append(state - width)
+            if x + 1 < width and free[state + 1]:
+                succs.append(state + 1)
+            if state + width < len(free) and free[state + width]:
+                succs.append(state + width)
+            if x and free[state - 1]:
+                succs.append(state - 1)
         else:
             per_agent, table = self._per_agent, self._moves
             agent, box = divmod(state, per_agent)
@@ -482,11 +508,12 @@ def _shortest_path(
     blocked: Callable[[int], bool],
     avoid: Iterable[int] = (),
     cut: Container[int] = (),
-) -> Optional[list[int]]:
+) -> tuple[Optional[list[int]], int]:
     """BFS with parent pointers from `source` to the goal state.
 
     Never enters a `blocked` state or a state in `avoid`, and does not step
-    from `source` into a state in `cut`.
+    from `source` into a state in `cut`. Returns the path, or None, with
+    the number of states the search reached.
     """
     goal = space._goal
     memo, expand = space._succ, space._expand
@@ -498,7 +525,7 @@ def _shortest_path(
             path = [cur]
             while (cur := parent[cur]) >= 0:
                 path.append(cur)
-            return path[::-1]
+            return path[::-1], len(queue)
         succs = memo.get(cur)
         if succs is None:
             succs = expand(cur)
@@ -508,7 +535,7 @@ def _shortest_path(
             if nxt not in parent and not blocked(nxt):
                 parent[nxt] = cur
                 queue.append(nxt)
-    return None
+    return None, len(queue)
 
 
 def _loopless_paths(
@@ -520,10 +547,12 @@ def _loopless_paths(
     nondecreasing length, equal lengths ordered by their node-id sequence.
     Each path after the first is the shortest candidate that leaves an
     earlier path at some state (the spur) by a transition no earlier path
-    with the same prefix took, and never revisits the prefix.
+    with the same prefix took, and never revisits the prefix. Raises
+    `InvalidEnvError` once the spur searches have reached more than
+    `MAX_SPUR_STATES` states, summed.
     """
     start = space._start
-    first = None if blocked(start) else _shortest_path(space, start, blocked)
+    first = None if blocked(start) else _shortest_path(space, start, blocked)[0]
     if first is None:
         return
     name_all, node = space._name_all, space._node
@@ -534,6 +563,7 @@ def _loopless_paths(
     # the yielded paths as a prefix tree below the start state: the keys of
     # the subtree under a prefix are the states those paths go to next
     tree: dict[int, dict] = {}
+    reached = 0
     while candidates:
         _, key, path = heapq.heappop(candidates)
         yield key, path
@@ -541,7 +571,13 @@ def _loopless_paths(
         for i in range(len(path) - 1):
             subtree.setdefault(path[i + 1], {})
             taken, subtree = subtree, subtree[path[i + 1]]
-            spur = _shortest_path(space, path[i], blocked, path[:i], taken)
+            spur, count = _shortest_path(space, path[i], blocked, path[:i], taken)
+            reached += count
+            if reached > MAX_SPUR_STATES:
+                raise InvalidEnvError(
+                    f"the route search exceeds {MAX_SPUR_STATES} states;"
+                    " list fewer routes with --enumerate N"
+                )
             if spur is None:
                 continue
             candidate = path[:i] + spur

@@ -240,6 +240,20 @@ def test_solve_enumerate_zero_lists_every_route(capsys, tmp_path):
     assert run(capsys, "solve", str(env), "--enumerate", "0") == every
 
 
+def test_solve_enumerate_over_route_budget_is_input_error(capsys, tmp_path):
+    # a 6 x 6 open room has too many routes to list; the search stops at
+    # its budget with nothing printed and no trace written
+    env, trace = tmp_path / "room.env", tmp_path / "t"
+    env.write_text("S.....\n" + "......\n" * 4 + ".....G\n")
+    code, out, err = run(capsys, "solve", str(env), "--enumerate", "--trace", str(trace))
+    assert (code, out) == (2, "")
+    assert "1048576 states" in err and "--enumerate N" in err
+    assert "Traceback" not in err
+    assert not trace.exists()
+    code, out, _ = run(capsys, "solve", str(env), "--enumerate", "3")
+    assert (code, out.splitlines()[-1]) == (0, "TOTAL 3")
+
+
 def test_solve_negative_enumerate_is_input_error(capsys, tmp_path):
     env = tmp_path / "c.env"
     env.write_text("S.\n.G\n")

@@ -24,3 +24,18 @@ def test_from_cells_of_nothing_is_an_empty_one_cell_grid():
     g = Grid.from_cells({})
     assert (g.width, g.height) == (1, 1)
     assert g.is_empty()
+
+
+def test_empty_grid_has_no_bounding_box_or_anchor():
+    g = Grid(3, 2, {})
+    with pytest.raises(GridError, match="bounding box"):
+        g.bounding_box()
+    with pytest.raises(GridError, match="anchor"):
+        g.anchor()
+
+
+def test_equal_grids_hash_equal():
+    a = Grid.from_text("x.\n.y\n")
+    b = Grid(2, 2, {(1, 1): "y", (0, 0): "x"})
+    assert a == b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1

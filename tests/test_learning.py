@@ -27,6 +27,7 @@ from gridmind.learning import (
     NoFitError,
     RecognitionMatch,
     find_transformation,
+    transformation_candidates,
 )
 from oracles import random_grid, recognition_oracle
 
@@ -438,6 +439,13 @@ def test_translate_learned_from_shift():
     t = find_transformation(before, after)
     assert (t.kind, t.dx, t.dy) == ("translate", 1, 0)
     assert t.apply(before) == after
+
+
+def test_no_translate_candidate_from_or_to_an_empty_grid():
+    empty, x = Grid(2, 2, {}), Grid.from_text("x.\n..\n")
+    for before, after in ((empty, x), (x, empty)):
+        kinds = [t.kind for t in transformation_candidates(before, after)]
+        assert "translate" not in kinds and kinds[0] == "identity"
 
 
 def test_rotation_round_trips():

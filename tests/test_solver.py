@@ -78,8 +78,15 @@ def test_state_space_refuses_a_mark_on_a_wall(mark):
         ("S..\n.#.\n..G\n", State((1, 1))),
         ("S.B\n..T\n.G.\n", State((2, 0), (2, 0))),
         ("S..\n.#.\n..G\n", State((0, 2))),
+        ("S..\n.#.\n..G\n", State((0, 1), (1, 0))),
+        ("S.B\n..T\n.G.\n", State((0, 1))),
+        ("S..\n.#.\n..G\n", State((3, 0))),
+        ("S.B\n..T\n.G.\n", State((0, 1), (0, -1))),
     ],
-    ids=["wall", "agent-on-box", "reachable-off-the-path"],
+    ids=[
+        "wall", "agent-on-box", "reachable-off-the-path", "boxed-on-a-maze",
+        "unboxed-on-a-push-puzzle", "off-grid-agent", "off-grid-box",
+    ],
 )
 def test_node_of_never_names_a_state(text, state):
     space = StateSpace(Environment.from_text(text))
@@ -120,22 +127,57 @@ def _random_envs(rng, count):
     return mazes + pushes
 
 
+def _assert_matches_brute_force(env):
+    space = StateSpace(env)
+    assert set(space.states) == reachable_states(env)
+    assert len(space.states) == len(space.transitions)
+    for s in space.states:
+        assert space.transitions[s] == legal_successors(env, s)
+    assert [space.node_of[s] for s in space.states] == list(range(len(space.states)))
+    view = space.view()
+    assert view.transitions == {
+        space.node_of[s]: [space.node_of[t] for t in ts]
+        for s, ts in space.transitions.items()
+    }
+    goal = {space.node_of[env.goal_state]} if goal_reachable(env) else set()
+    assert view.targets == goal
+    result, dist = solve(StateSpace(env)), bfs_distance(env)
+    assert (None if isinstance(result, NoSolution) else len(result.moves)) == dist
+
+
 def test_push_state_graph_matches_brute_force():
     envs = [Environment.from_text("S....\n.B...\n...T.\n....G\n.....\n")]
     for env in envs + _random_envs(random.Random(83), 60):
-        space = StateSpace(env)
-        assert set(space.states) == reachable_states(env)
-        assert len(space.states) == len(space.transitions)
-        for s in space.states:
-            assert space.transitions[s] == legal_successors(env, s)
-        assert [space.node_of[s] for s in space.states] == list(range(len(space.states)))
-        view = space.view()
-        assert view.transitions == {
-            space.node_of[s]: [space.node_of[t] for t in ts]
-            for s, ts in space.transitions.items()
-        }
-        goal = {space.node_of[env.goal_state]} if goal_reachable(env) else set()
-        assert view.targets == goal
+        _assert_matches_brute_force(env)
+
+
+def _column(row: str) -> str:
+    return "".join(ch + "\n" for ch in row)
+
+
+EDGE_SHAPES = [
+    # 1 x n and n x 1 strips, up to the largest side
+    *(f(row) for n in (2, 3, 17, 256)
+      for row in ("S" + "." * (n - 2) + "G", "G" + "." * (n - 2) + "S")
+      for f in (str, _column)),
+    *(f(row) for row in ("S.#.G", "GSB.T", "G" + "." * 250 + "SB..T", "T.BSG", "SB.T.G")
+      for f in (str, _column)),
+    # ragged lines, the short ones padded with walls
+    "S...\n.\n..\n...G\n",
+    "..S\n.\n...G.\n",
+    "S.....\n.B.\n.....T\n.G\n",
+    "S\n.B..\n...T\n.\nG..\n",
+    # walls on every border cell
+    "#####\n#S..#\n#.#.#\n#..G#\n#####\n",
+    "###\n#S#\n#.#\n#G#\n###\n",
+    "######\n#S...#\n#.B..#\n#...T#\n#G...#\n######\n",
+    "#######\n#SB..T#\n#....G#\n#######\n",
+]
+
+
+@pytest.mark.parametrize("text", EDGE_SHAPES, ids=range(len(EDGE_SHAPES)))
+def test_stepping_matches_brute_force_on_edge_shapes(text):
+    _assert_matches_brute_force(Environment.from_text(text))
 
 
 def test_prune_corridor_nothing():
@@ -647,6 +689,19 @@ def test_state_budget_boundary(small_state_budget):
     assert len(enumerate_solutions(corridor)) == 1
     with pytest.raises(InvalidEnvError):
         StateSpace(Environment.from_text("S" + "." * 19 + "G\n")).states
+
+
+def test_route_budget_bounds_enumeration(monkeypatch):
+    # listing the 12 routes of a 3 x 3 room reaches 153 states in its
+    # spur searches, summed
+    monkeypatch.setattr("gridmind.solver.MAX_SPUR_STATES", 153)
+    room = Environment.from_text(_open_room(3))
+    assert len(enumerate_solutions(StateSpace(room))) == 12
+    monkeypatch.setattr("gridmind.solver.MAX_SPUR_STATES", 152)
+    with pytest.raises(InvalidEnvError, match="152 states"):
+        enumerate_solutions(StateSpace(room))
+    assert len(enumerate_solutions(StateSpace(room), 2)) == 2
+    assert isinstance(solve(StateSpace(room)), Solution)
 
 
 def test_state_budget_fits_largest_maze():

@@ -12,6 +12,9 @@ exception it raised, is made canonical, and its check's verdict is added:
 - the pass's work directory is replaced by a fixed token in every string.
 
 Two checkouts whose programs give the same outputs print the same digests.
+`tools/output_digests.txt` holds what this prints for the committed
+program, and CI fails when the two differ; a change that alters outputs on
+purpose updates that file and says why in CHANGES.md.
 Standard library only; no options. Usage: python tools/output_digest.py
 """
 
