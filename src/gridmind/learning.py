@@ -320,12 +320,11 @@ class Learner:
 
     def __init__(self, graph: ConceptGraph | None = None):
         self.graph = graph if graph is not None else ConceptGraph()
-        # (kind, label) -> the first node of that kind with that label; a
-        # symbol's node is the `Primitive` labelled `cell:<symbol>`
+        # (kind, label) -> the first node of that kind with that label, over
+        # the nodes below `_indexed`; a symbol's node is the `Primitive`
+        # labelled `cell:<symbol>`
         self._labeled: dict[tuple[NodeKind, str], int] = {}
-        for node in self.graph.nodes.values():
-            if node.label:
-                self._labeled.setdefault((node.kind, node.label), node.id)
+        self._indexed = 0
         # `recognize`'s row width W, which only grows, and each composite's
         # parts as (child, dy * W + dx), filled on its first vote
         self._row_width = 4 * MAX_DIM
@@ -339,8 +338,20 @@ class Learner:
             return prim
         return self.graph.create_composite([(prim, off) for off in feat.offsets])
 
+    def _label_index(self) -> dict[tuple[NodeKind, str], int]:
+        """`_labeled`, first extended over the nodes made since the last
+        lookup, by this learner or anyone else: node ids are dense and in
+        creation order, so those are the ids from `_indexed` on."""
+        labeled, nodes = self._labeled, self.graph.nodes
+        for node_id in range(self._indexed, len(nodes)):
+            node = nodes[node_id]
+            if node.label:
+                labeled.setdefault((node.kind, node.label), node_id)
+        self._indexed = len(nodes)
+        return labeled
+
     def _lookup_feature_node(self, feat: FeatureInstance) -> int | None:
-        prim = self._labeled.get((NodeKind.PRIMITIVE, PRIMITIVE_PREFIX + feat.symbol))
+        prim = self._label_index().get((NodeKind.PRIMITIVE, PRIMITIVE_PREFIX + feat.symbol))
         if prim is None:
             return None
         if feat.offsets == frozenset([(0, 0)]):
@@ -348,9 +359,9 @@ class Learner:
         return self.graph.find_composite([(prim, off) for off in feat.offsets])
 
     def labeled_node(self, label: str, kind: NodeKind = NodeKind.PRIMITIVE) -> int:
-        node_id = self._labeled.get((kind, label))
-        if node_id is None:
-            node_id = self._labeled[kind, label] = self.graph.create_atom(kind, label, 1)
+        node_id = self._label_index().get((kind, label))
+        if node_id is None:  # the next lookup indexes it
+            node_id = self.graph.create_atom(kind, label, 1)
         return node_id
 
     # observe / reconstruct

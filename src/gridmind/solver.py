@@ -16,25 +16,28 @@ Each state a search steps from keeps its successors as a list of ints.
 The searches, the memo, the state budget, deadlock pruning and the
 full build all run on these ints; `State` tuples are decoded only for the
 public boundary (`states`, `transitions`, `node_of`, `state_of` and
-`Solution.path`). The full build, and each path
-a search returns, names its unnamed states in one batch of childless
-graph atoms; labels and `State` tuples come from a per-cell table filled
-the first time a cell is looked up. The search is a breadth-first search
-with parent pointers that skips blocked states: those inhibited in the
-caller's sessions and, under constraints, those on a forbidden cell. Yen's
-algorithm (1971) runs it again from each branching point of the paths
+`Solution.path`). Only the full build and the registration of a found path
+as a solution name states: each names its unnamed states in one batch of
+childless graph atoms; labels and `State` tuples come from a per-cell table
+filled the first time a cell is looked up. The search is a breadth-first
+search with parent pointers that skips blocked states: those inhibited in
+the caller's sessions and, under constraints, those on a forbidden cell.
+Yen's algorithm (1971) runs it again from each branching point of the paths
 found so far, which yields every loopless start-to-goal path in
-nondecreasing length; its spur searches may reach `MAX_SPUR_STATES` states
-in all. Before any state search, a push puzzle has no solution when its
-box starts on a dead square (one from which no push sequence reaches the
-target, whatever the agent's position) or when walls alone keep the agent
-from its goal; this takes O(cells), so an unsolvable large room answers
-without meeting the state budget. Enumeration first
-inhibits deadlock states (states from which no goal state is reachable,
-plus iterated cul-de-sac cells in mazes) in the caller's sessions, which
-needs the whole space and reads only its successor lists; a single solve
-does not, because no deadlock state lies on a shortest path. Solutions are
-registered as high-level concepts; each path found is looked up as its
+nondecreasing length, equal lengths in the order of their states'
+breadth-first ranks from the full build, so the order depends only on the
+environment and the blocked states, never on what a space named before.
+Yen's reads state ints and ranks only; its spur searches may reach
+`MAX_SPUR_STATES` states in all. Before any state search, a push puzzle
+has no solution when its box starts on a dead square (one from which no
+push sequence reaches the target, whatever the agent's position) or when
+walls alone keep the agent from its goal; this takes O(cells), so an
+unsolvable large room answers without meeting the state budget.
+Enumeration first inhibits deadlock states (states from which no goal
+state is reachable, plus iterated cul-de-sac cells in mazes) in the
+caller's sessions, which needs the whole space and reads only its
+successor lists; a single solve does not, because no deadlock state lies
+on a shortest path. Solutions are registered as high-level concepts; each path found is looked up as its
 solution concept, and a path whose concept is inhibited is skipped, so
 inhibiting a found solution makes the next `solve` or `enumerate_solutions`
 on the same sessions return an alternative. What a run inhibits and the
@@ -241,9 +244,11 @@ class StateSpace:
     closes no reference cycle and is freed as soon as the last reference to
     it goes. `states`, `transitions` and `view()` build the whole reachable
     space once, on first use, and name every state not yet named in one
-    batch, in breadth-first order. The full build keeps only that order,
-    `_order`, and the successor lists in `_succ`; the views and
-    `prune_deadlocks` derive all else from these.
+    batch, in breadth-first order. The full build keeps one table,
+    `_order`, which maps each reachable state to its breadth-first rank and
+    iterates in that order, besides the successor lists in `_succ`; the
+    views, `prune_deadlocks` and Yen's candidate order derive all else from
+    these. On a fresh space a state's rank equals its node id.
     """
 
     def __init__(self, env: Environment):
@@ -402,19 +407,20 @@ class StateSpace:
         return False
 
     @cached_property
-    def _order(self) -> list[int]:
-        """Every reachable state in breadth-first order, each one named."""
-        order = [self._start]
-        seen = {self._start}
+    def _order(self) -> dict[int, int]:
+        """Every reachable state -> its breadth-first rank, each one named.
+        The keys iterate in breadth-first order."""
+        order = {self._start: 0}
+        queue = [self._start]
         memo, expand = self._succ, self._expand
-        for cur in order:  # the list is the queue
+        for cur in queue:  # the list is the queue
             succs = memo.get(cur)
             if succs is None:
                 succs = expand(cur)
             for nxt in succs:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    order.append(nxt)
+                if nxt not in order:
+                    order[nxt] = len(order)
+                    queue.append(nxt)
         self._name_all(order)
         return order
 
@@ -493,8 +499,11 @@ def prune_deadlocks(space: StateSpace, sessions: SessionStack) -> set[State]:
     return set(space._decode_all(dead))
 
 
-def _register_solution(space: StateSpace, nodes: tuple[int, ...]) -> int:
-    children = [(node, (i, 0)) for i, node in enumerate(nodes)]
+def _register_solution(space: StateSpace, path: list[int]) -> int:
+    """Name the states of `path` not yet named, in path order, and return
+    the solution concept over their nodes, made if it is new."""
+    space._name_all(path)
+    children = [(space._node[s], (i, 0)) for i, s in enumerate(path)]
     concept = space.graph.create_composite(children, kind=NodeKind.SOLUTION)
     node = space.graph.nodes[concept]
     if not node.label:
@@ -538,35 +547,33 @@ def _shortest_path(
     return None, len(queue)
 
 
-def _loopless_paths(
-    space: StateSpace, blocked: Callable[[int], bool]
-) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+def _loopless_paths(space: StateSpace, blocked: Callable[[int], bool]) -> Iterator[list[int]]:
     """Yen's algorithm: loopless start-to-goal paths avoiding `blocked` states.
 
-    Yields each path with its node-id sequence. Paths come in
-    nondecreasing length, equal lengths ordered by their node-id sequence.
-    Each path after the first is the shortest candidate that leaves an
-    earlier path at some state (the spur) by a transition no earlier path
-    with the same prefix took, and never revisits the prefix. Raises
+    Yields each path as a list of state codes. Paths come in nondecreasing
+    length, equal lengths ordered by the breadth-first ranks of their states
+    (`StateSpace._order`), so the order depends only on the environment and
+    `blocked`, not on which states earlier calls named. Each path after the
+    first is the shortest candidate that leaves an earlier path at some
+    state (the spur) by a transition no earlier path with the same prefix
+    took, and never revisits the prefix. The first path needs no rank, so
+    the full build runs only when a second path is asked for. Raises
     `InvalidEnvError` once the spur searches have reached more than
     `MAX_SPUR_STATES` states, summed.
     """
     start = space._start
-    first = None if blocked(start) else _shortest_path(space, start, blocked)[0]
-    if first is None:
+    path = None if blocked(start) else _shortest_path(space, start, blocked)[0]
+    if path is None:
         return
-    name_all, node = space._name_all, space._node
-    name_all(first)
-    key = tuple(map(node.__getitem__, first))
-    candidates = [(len(first), key, first)]
-    seen = {key}
+    candidates = []  # a heap of (length, rank key, path)
+    seen = set()  # candidate keys; the prefix tree keeps yielded paths out
     # the yielded paths as a prefix tree below the start state: the keys of
     # the subtree under a prefix are the states those paths go to next
     tree: dict[int, dict] = {}
     reached = 0
-    while candidates:
-        _, key, path = heapq.heappop(candidates)
-        yield key, path
+    while True:
+        yield path
+        rank = space._order
         subtree = tree
         for i in range(len(path) - 1):
             subtree.setdefault(path[i + 1], {})
@@ -581,11 +588,13 @@ def _loopless_paths(
             if spur is None:
                 continue
             candidate = path[:i] + spur
-            name_all(candidate)
-            key = tuple(map(node.__getitem__, candidate))
+            key = tuple(map(rank.__getitem__, candidate))
             if key not in seen:
                 seen.add(key)
                 heapq.heappush(candidates, (len(candidate), key, candidate))
+        if not candidates:
+            return
+        path = heapq.heappop(candidates)[2]
 
 
 def _solutions(
@@ -604,8 +613,8 @@ def _solutions(
     if cells:
         per_agent = space._per_agent
         blocked = lambda s: s in inhibited or s // per_agent in cells
-    for key, path in _loopless_paths(space, blocked):
-        concept = _register_solution(space, key)
+    for path in _loopless_paths(space, blocked):
+        concept = _register_solution(space, path)
         if not sessions.is_inhibited(concept):
             yield Solution(tuple(space._decode_all(path)), concept)
 
@@ -630,8 +639,11 @@ def solve(space: StateSpace, sessions: SessionStack | None = None):
     nodes. It needs no deadlock pruning: a state that cannot reach the
     goal never lies on a shortest path, so the breadth-first parent
     pointers pick the path they would pick with the deadlock states
-    inhibited. A push puzzle found unsolvable before any search (see
-    `StateSpace._cut_off`) gives `NoSolution` without a search.
+    inhibited. When the shortest path is an inhibited solution, the next
+    route is Yen's next path, ranked by breadth-first rank, so the solve
+    first builds the whole space, as `enumerate_solutions` does, under the
+    same `MAX_STATES` budget. A push puzzle found unsolvable before any
+    search (see `StateSpace._cut_off`) gives `NoSolution` without a search.
     """
     return _first_solution(space, sessions)
 
@@ -641,7 +653,10 @@ def enumerate_solutions(
     max_solutions: int | None = None,
     sessions: SessionStack | None = None,
 ) -> list[Solution]:
-    """Every loopless solution (at most `max_solutions`), shortest first.
+    """Every loopless solution (at most `max_solutions`), shortest first,
+    equal lengths in the breadth-first order of their states from the start
+    (see `_loopless_paths`), so a space searched before gives what a fresh
+    one would.
 
     Deadlock states are inhibited first, in `sessions` (a fresh stack if
     none is given), in its open layer; that builds the whole space and

@@ -631,6 +631,29 @@ def test_labeled_node_and_observe_share_one_primitive(label_first):
     assert reloaded.recognize(g) == matches
 
 
+@pytest.mark.parametrize("maker", ["graph", "second learner"])
+@pytest.mark.parametrize("lookup", ["observe", "labeled_node"])
+def test_learner_finds_labelled_nodes_made_after_it(maker, lookup):
+    # a `cell:q` made on the graph after the learner was, by the graph itself
+    # or by a second learner, is the learner's node for `q`: a second
+    # `cell:q` would make a reloaded graph recognize nothing
+    g = Grid.from_text("qq\nq.\n")
+    graph = ConceptGraph()
+    learner = Learner(graph)
+    if maker == "graph":
+        graph.create_primitive("cell:q")
+    else:
+        Learner(graph).observe(g)
+    if lookup == "labeled_node":
+        assert learner.labeled_node("cell:q") == 0
+    learner.observe(g)
+    assert [n.id for n in graph.nodes.values() if n.label == "cell:q"] == [0]
+    matches = learner.recognize(g)
+    assert len(matches) == 3
+    reloaded = Learner(ConceptGraph.import_text(graph.export_text()))
+    assert reloaded.recognize(g) == matches
+
+
 def test_symbol_node_is_a_primitive():
     graph = ConceptGraph()
     graph.create_atom(NodeKind.STATE, "cell:x")

@@ -639,9 +639,9 @@ def test_dropped_space_is_freed_without_the_cycle_collector():
 
 
 def test_enumeration_names_states_in_breadth_first_order():
-    # the full build names every state before Yen's search runs, so node ids,
-    # the order of equal-length routes and the trace do not depend on which
-    # states a search met first
+    # on a fresh space the full build names every state before Yen's search
+    # runs, so node ids equal breadth-first ranks; routes of equal length
+    # come in the ranks' order whatever a space named first
     space = StateSpace(Environment.from_text(ENUM_MAZE))
     sessions = SessionStack(space.graph)
     solutions = enumerate_solutions(space, sessions=sessions)
@@ -681,6 +681,69 @@ def test_state_budget_bounds_search(small_state_budget):
         enumerate_solutions(StateSpace(room), 1)
     with pytest.raises(InvalidEnvError, match="20 states"):
         StateSpace(room).view()
+
+
+def test_solve_past_an_inhibited_solution_builds_the_space(small_state_budget):
+    # the room below the corridor holds 20 of the 23 states, which the
+    # first route never reaches; the second needs every breadth-first rank
+    space = StateSpace(Environment.from_text("S.G##\n" + ".....\n" * 4))
+    sessions = SessionStack(space.graph)
+    first = solve(space, sessions)
+    assert first.moves == ["E", "E"]
+    assert "_order" not in vars(space)
+    assert isinstance(solve(space, sessions), Solution)
+    assert "_order" not in vars(space)
+    sessions.inhibit(first.concept)
+    with pytest.raises(InvalidEnvError, match="20 states"):
+        solve(space, sessions)
+
+
+def test_solve_past_an_inhibited_solution_ranks_every_state():
+    space = StateSpace(Environment.from_text(ENUM_MAZE))
+    sessions = SessionStack(space.graph)
+    first = solve(space, sessions)
+    assert "_order" not in vars(space)
+    sessions.inhibit(first.concept)
+    second = solve(space, sessions)
+    assert "_order" in vars(space)
+    assert [first.moves, second.moves] == [list("EESS"), list("SSEE")]
+    assert len(space.graph) == len(space.states) + 2  # the two solutions
+    sessions.inhibit(second.concept)
+    assert isinstance(solve(space, sessions), NoSolution)
+
+
+def _history_envs():
+    """`_random_envs` plus random mazes of 3-7 cells a side at wall density 0.2."""
+    rng = random.Random(97)
+    mazes = [
+        Environment.from_text(random_maze_text(rng, rng.randint(3, 7), rng.randint(3, 7), 0.2))
+        for _ in range(60)
+    ]
+    return _random_envs(rng, 30) + mazes
+
+
+def test_enumeration_after_a_solve_matches_a_fresh_space():
+    for env in _history_envs():
+        fresh = enumerate_solutions(StateSpace(env), 6)
+        space = StateSpace(env)
+        solve(space)
+        assert [s.path for s in enumerate_solutions(space, 6)] == [s.path for s in fresh]
+
+
+def test_solving_and_inhibiting_lists_the_enumerated_routes():
+    # four rounds of solve-then-inhibit on one space, with no deadlock
+    # pruning, return the first four routes `enumerate_solutions` lists
+    for env in _history_envs():
+        expected = [s.path for s in enumerate_solutions(StateSpace(env), 4)]
+        space = StateSpace(env)
+        sessions = SessionStack(space.graph)
+        found = []
+        for _ in expected:
+            result = solve(space, sessions)
+            found.append(result.path)
+            sessions.inhibit(result.concept)
+        assert found == expected
+        assert len(expected) == 4 or isinstance(solve(space, sessions), NoSolution)
 
 
 def test_state_budget_boundary(small_state_budget):

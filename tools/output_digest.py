@@ -1,4 +1,5 @@
-"""Print one sha256 per perfbench workload over the outputs of its ops.
+"""Print one sha256 per perfbench workload over the outputs of its ops,
+then one over the stdout of the demos.
 
 Runs every op of the four workloads in `perfbench/workloads.py` for seeds
 1-3, in order and each followed by its check, as `perfbench/run.py` runs a
@@ -11,6 +12,9 @@ exception it raised, is made canonical, and its check's verdict is added:
 - dataclasses, tuples, lists and sets become nested lists of the same;
 - the pass's work directory is replaced by a fixed token in every string.
 
+The last line hashes, for each `demos/*.py` in name order, its file name
+and what its `main()` prints.
+
 Two checkouts whose programs give the same outputs print the same digests.
 `tools/output_digests.txt` holds what this prints for the committed
 program, and CI fails when the two differ; a change that alters outputs on
@@ -18,8 +22,11 @@ purpose updates that file and says why in CHANGES.md.
 Standard library only; no options. Usage: python tools/output_digest.py
 """
 
+import contextlib
 import dataclasses
 import hashlib
+import importlib.util
+import io
 import sys
 import tempfile
 from enum import Enum
@@ -81,6 +88,23 @@ def digest(build) -> tuple[str, int, int]:
     return sha.hexdigest(), ops_run, failed
 
 
+def demos_digest() -> tuple[str, int]:
+    """sha256 over each demo's file name and the stdout of its `main()`,
+    with the number of demos."""
+    sha, paths = hashlib.sha256(), sorted((ROOT / "demos").glob("*.py"))
+    for path in paths:
+        spec = importlib.util.spec_from_file_location(path.stem, path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            module.main()
+        sha.update(f"{path.name}\n{out.getvalue()}".encode("utf-8"))
+    return sha.hexdigest(), len(paths)
+
+
 for name, build in workloads.WORKLOADS.items():
     hexdigest, ops_run, failed = digest(build)
     print(f"{hexdigest}  {name}  ({ops_run} ops, {failed} failed)")
+hexdigest, count = demos_digest()
+print(f"{hexdigest}  demos  ({count} demos)")
