@@ -1,48 +1,41 @@
 """Grounded problem solving on corridor mazes and single-box push puzzles.
 
 The state space is implicit: a search steps from the states it reaches
-and nothing else, and a state gets a concept node only from a path a
-search returns or from the full build; `node_of` raises `KeyError` for a
-state with no node, so read `states` or `view()` first to name them all.
-Inside a `StateSpace` a state is one int: the agent's cell index
-`y * width + x` in a maze, `agent * (width * height) + box` in a push
-puzzle. Every space keeps `_free`, a row-major byte table with 1 for each
-free cell, filled from the walls at construction in O(walls). A maze state
-is its own cell, and a step from it reads four bytes of `_free`. A
-push-puzzle space keeps a table from a free cell to the cell one move away
-in each direction (or -1), read off `_free` one cell at a time the first
-time a search reaches the cell.
-Each state a search steps from keeps its successors as a list of ints.
-The searches, the memo, the state budget, deadlock pruning and the
-full build all run on these ints; `State` tuples are decoded only for the
-public boundary (`states`, `transitions`, `node_of`, `state_of` and
-`Solution.path`). Only the full build and the registration of a found path
-as a solution name states: each names its unnamed states in one batch of
-childless graph atoms; labels and `State` tuples come from a per-cell table
-filled the first time a cell is looked up. The search is a breadth-first
-search with parent pointers that skips blocked states: those inhibited in
-the caller's sessions and, under constraints, those on a forbidden cell.
-Yen's algorithm (1971) runs it again from each branching point of the paths
-found so far, which yields every loopless start-to-goal path in
-nondecreasing length, equal lengths in the order of their states'
-breadth-first ranks from the full build, so the order depends only on the
-environment and the blocked states, never on what a space named before.
-Yen's reads state ints and ranks only; its spur searches may reach
-`MAX_SPUR_STATES` states in all. Before any state search, a push puzzle
-has no solution when its box starts on a dead square (one from which no
-push sequence reaches the target, whatever the agent's position) or when
-walls alone keep the agent from its goal; this takes O(cells), so an
-unsolvable large room answers without meeting the state budget.
+and nothing else. Inside a `StateSpace` a state is one int: the agent's
+cell index `y * width + x` in a maze, `agent * (width * height) + box` in a
+push puzzle. Each state a search steps from keeps its successors as a
+list of ints, and `State` tuples are decoded only at the public boundary
+(`states`, `transitions`, `node_of`, `state_of` and `Solution.path`). A
+state gets a concept node only from the full build or from a path
+registered as a solution; `node_of` raises `KeyError` for a state with
+none, so read `states` or `view()` first to name them all.
+
+One breadth-first search with parent pointers, `_search`, does all the
+searching. It has five users:
+
+- the first route from the start to the goal, which skips blocked states:
+  those inhibited in the caller's sessions and, under constraints, those
+  on a forbidden cell;
+- the spur searches of Yen's algorithm (1971), which yields every loopless
+  start-to-goal path in nondecreasing length, equal lengths in the order
+  of their states' breadth-first ranks, so the order depends only on the
+  environment and the blocked states; together they may reach
+  `MAX_SPUR_STATES` states;
+- the full build, `StateSpace._order`, a search from the start with no goal;
+- deadlock pruning in a push puzzle, a search from the goal over the
+  reversed successor lists;
+- the two cell searches of `StateSpace._cut_off`, which find a push puzzle
+  unsolvable in O(cells) before any state search, so an unsolvable large
+  room answers without meeting the state budget.
+
 Enumeration first inhibits deadlock states (states from which no goal
 state is reachable, plus iterated cul-de-sac cells in mazes) in the
-caller's sessions, which needs the whole space and reads only its
-successor lists; a single solve does not, because no deadlock state lies
-on a shortest path. Solutions are registered as high-level concepts; each path found is looked up as its
-solution concept, and a path whose concept is inhibited is skipped, so
-inhibiting a found solution makes the next `solve` or `enumerate_solutions`
-on the same sessions return an alternative. What a run inhibits and the
-solutions it returns are its whole record; the CLI writes its run log
-from them.
+caller's sessions; a single solve does not, because no deadlock state lies
+on a shortest path. Each path found is registered as a solution concept,
+and a path whose concept is inhibited is skipped, so inhibiting a found
+solution makes the next `solve` or `enumerate_solutions` on the same
+sessions return an alternative. What a run inhibits and the solutions it
+returns are its whole record; the CLI writes its run log from them.
 """
 
 from __future__ import annotations
@@ -217,41 +210,31 @@ class StateSpace:
     nodes and the solution concepts registered on it, so no two spaces
     name one state label in the same graph.
 
-    Inside the space a state is one int (see the module docstring).
-    `_encode` and `_decode_all` convert between these ints and `State`
-    tuples through `_cells`, one per-cell table of coordinates and `"x,y"`
-    labels. `_node` maps a state to its concept node and `_code` maps the
-    node back; `_name_all` names states in one batch of childless graph
-    atoms. `_succ` maps each state a search has stepped from to the states
-    one move away, in `DIRECTIONS` order; `MAX_STATES` bounds its size.
-    `_free` is one byte per cell, row-major, 1 where the cell is free; the
-    constructor fills it from `env.walls` in O(walls). A maze state is its
-    agent's cell and is stepped from once, so `_expand` appends its free
-    neighbours straight from the four bytes around it, and a maze keeps no
-    other table. A push puzzle's `_moves` is the cell table: for each free
-    cell, the cell one move away in each of the `DIRECTIONS`, or -1 where a
-    wall or the border blocks, read off `_free` by `_row`. A cell's row is
-    filled the first time a search reaches the cell, so a short search in a
-    large room steps only from the cells it touches, and every state with
-    the agent on that cell reuses the row.
+    Inside the space a state is one int (see the module docstring);
+    `_encode` and `_decode_all` convert to and from `State` tuples through
+    `_cells`. `_node` maps a state to its concept node and `_code` maps the
+    node back. `_succ` holds the successors, in `DIRECTIONS` order, of each
+    state a search has stepped from; `MAX_STATES` bounds its size. `_free`
+    is one byte per cell, row-major, 1 where `env.is_free`. A maze state is
+    its agent's cell and is stepped from once, so `_expand` reads its free
+    neighbours straight from `_free`. A push puzzle's `_moves` holds, for
+    each free cell a search has reached, the cell one move away in each
+    direction or -1, so every state with the agent on that cell reuses it.
 
-    `State` tuples appear only at the boundary. `node_of` maps a state to
-    its concept node and `state_of` maps the node back. A state gets a node
-    only from a path a search returns or from the full build, and `node_of`
-    raises `KeyError` for a state with none, so read `states` or `view()`
-    first to name every reachable state. Each access makes a fresh
-    read-only view over `_node` or `_code`; the space stores no view, so it
-    closes no reference cycle and is freed as soon as the last reference to
-    it goes. `states`, `transitions` and `view()` build the whole reachable
-    space once, on first use, and name every state not yet named in one
-    batch, in breadth-first order. The full build keeps one table,
-    `_order`, which maps each reachable state to its breadth-first rank and
-    iterates in that order, besides the successor lists in `_succ`; the
-    views, `prune_deadlocks` and Yen's candidate order derive all else from
-    these. On a fresh space a state's rank equals its node id.
+    `node_of` and `state_of` are read-only views made fresh on each
+    access; the space stores none, so it closes no reference cycle and is
+    freed as soon as the last reference to it goes. `states`, `transitions`
+    and `view()` build the whole reachable space once, on first use:
+    `_order` lists every reachable state in breadth-first order and names
+    those not yet named, in that order, in one batch. On a fresh space a
+    state's node id is its index in `_order`.
     """
 
     def __init__(self, env: Environment):
+        if env.width > MAX_DIM or env.height > MAX_DIM:  # as `from_text`
+            raise InvalidEnvError(f"environment larger than {MAX_DIM}x{MAX_DIM}: {env.width}x{env.height}")
+        if (env.box is None) != (env.box_target is None):
+            raise InvalidEnvError("a push puzzle needs both a box and a box target")
         if not env.is_free(env.start) or not env.is_free(env.goal):
             raise InvalidEnvError("start or goal on a wall")
         if env.box is not None and (
@@ -260,14 +243,16 @@ class StateSpace:
             raise InvalidEnvError("box or box target on a wall")
         self.env = env
         self.graph = ConceptGraph()
+        width, height = env.width, env.height
         # a state's agent cell is `state // _per_agent`, its box cell the rest
-        self._per_agent = env.width * env.height if env.box is not None else 1
+        self._per_agent = width * height if env.box is not None else 1
         self._cells = _Cells(env.width)
         self._node: dict[int, int] = {}  # state -> its concept node
         self._code: dict[int, int] = {}  # concept node -> its state
-        free = self._free = bytearray(b"\x01") * (env.width * env.height)
+        free = self._free = bytearray(b"\x01") * (width * height)
         for x, y in env.walls:
-            free[y * env.width + x] = 0
+            if 0 <= x < width and 0 <= y < height:  # an off-grid wall blocks nothing
+                free[y * width + x] = 0
         self._moves: list[Optional[tuple[int, int, int, int]]] = (
             [None] * self._per_agent if env.box is not None else []
         )
@@ -370,57 +355,44 @@ class StateSpace:
         self._succ[state] = succs
         return succs
 
+    def _moves_of(self, cell: int) -> tuple[int, int, int, int]:
+        """`_moves[cell]`, filled the first time it is read."""
+        row = self._moves[cell]
+        if row is None:
+            row = self._moves[cell] = self._row(cell)
+        return row
+
+    def _pushes(self, cell: int) -> list[int]:
+        """The cells a box on a free cell can be pushed to, with the agent
+        free to stand anywhere. A push needs the cell on the box's other
+        side free to push from, so the box moves along an axis both ways or
+        not at all."""
+        north, east, south, west = self._moves_of(cell)
+        return ([north, south] if north >= 0 and south >= 0 else []) + (
+            [east, west] if east >= 0 and west >= 0 else []
+        )
+
     def _cut_off(self) -> bool:
         """Whether a push puzzle is unsolvable before any state search: its
         box starts on a dead square, a cell from which no push sequence
         brings it to its target even with the agent free to stand anywhere
         (Junghanns & Schaeffer, 2001), or its agent cannot reach `G` over
-        free cells even with the box out of the way. The box moves to a free
-        neighbour when the cell on its other side is free for the agent to
-        push from; the agent moves to any free neighbour. A breadth-first
-        search over these moves stops at the destination: O(cells) at most,
-        and only the nearby cells when the destination is a few moves away.
-        A maze is never cut off."""
-        env, table, cell_of = self.env, self._moves, self._cell
+        free cells even with the box out of the way. Both are cell searches
+        that stop at their destination: O(cells) at most, and only the
+        nearby cells when the destination is a few moves away. A maze is
+        never cut off."""
+        env, cell = self.env, self._cell
         if env.box is None:
             return False
-        for mover, dest, pushed in (
-            (env.box, env.box_target, True),
-            (env.start, env.goal, False),
-        ):
-            dest = cell_of(dest)
-            queue = [cell_of(mover)]
-            seen = set(queue)
-            for cell in queue:  # the list is the queue
-                if cell == dest:
-                    break
-                moves = table[cell]
-                if moves is None:
-                    moves = table[cell] = self._row(cell)
-                for i, nxt in enumerate(moves):
-                    # a push needs the cell opposite `nxt` free
-                    if nxt >= 0 and nxt not in seen and (not pushed or moves[i - 2] >= 0):
-                        seen.add(nxt)
-                        queue.append(nxt)
-            else:
-                return True
-        return False
+        if _search({}, self._pushes, cell(env.box), cell(env.box_target))[0] is None:
+            return True
+        # a row's -1, a move a wall or the border blocks, is never entered
+        return _search({}, self._moves_of, cell(env.start), cell(env.goal), avoid=(-1,))[0] is None
 
     @cached_property
-    def _order(self) -> dict[int, int]:
-        """Every reachable state -> its breadth-first rank, each one named.
-        The keys iterate in breadth-first order."""
-        order = {self._start: 0}
-        queue = [self._start]
-        memo, expand = self._succ, self._expand
-        for cur in queue:  # the list is the queue
-            succs = memo.get(cur)
-            if succs is None:
-                succs = expand(cur)
-            for nxt in succs:
-                if nxt not in order:
-                    order[nxt] = len(order)
-                    queue.append(nxt)
+    def _order(self) -> list[int]:
+        """Every reachable state in breadth-first order, each one named."""
+        order = _search(self._succ, self._expand, self._start, -1)[1]
         self._name_all(order)
         return order
 
@@ -453,8 +425,7 @@ def prune_deadlocks(space: StateSpace, sessions: SessionStack) -> set[State]:
     fixpoint closed over cycles, which inhibits e.g. every state with the
     box in a non-target corner) and, for mazes, iterated cul-de-sac cells.
     Both are found on the full build's successor lists. In a push puzzle
-    the first is a breadth-first search from the goal over the reversed
-    lists. In a maze every move can be undone, so either every reachable
+    the first is `_search` from the goal over the reversed lists. In a maze every move can be undone, so either every reachable
     state reaches the goal or none does, and no reversed lists are built;
     the cul-de-sac cells are found by filling dead ends on the lists of the
     reachable states.
@@ -462,15 +433,14 @@ def prune_deadlocks(space: StateSpace, sessions: SessionStack) -> set[State]:
     If a dead state is Active in `sessions`, raises `ConflictError` before
     inhibiting any, so `sessions` is left unchanged.
     """
-    order, succ = space._order, space._succ
+    order, succ, goal = space._order, space._succ, space._goal
     # the full build leaves exactly the reachable states in `succ`
-    queue = [space._goal] if space._goal in succ else []
     if space.env.box is None:
         # A maze state is its agent's cell, so a state's successors are its
         # free neighbours. Filling dead ends has one result in any order, so
         # filling only the reachable cells finds the reachable ones among
         # the dead ends of the whole grid.
-        alive = set(order) if queue else set()
+        alive = set(order) if goal in succ else set()
         spared = (space._start, space._goal)
         degree = {s: len(succ[s]) for s in order}
         filled = [s for s, d in degree.items() if d <= 1 and s not in spared]
@@ -487,12 +457,8 @@ def prune_deadlocks(space: StateSpace, sessions: SessionStack) -> set[State]:
         for s in order:
             for t in succ[s]:
                 preds[t].append(s)
-        alive = set(queue)
-        for s in queue:  # the list is the queue
-            for pred in preds[s]:
-                if pred not in alive:
-                    alive.add(pred)
-                    queue.append(pred)
+        # every reachable state has its list, so `expand` never runs
+        alive = set(_search(preds, preds.__getitem__, goal, -1)[1]) if goal in succ else set()
     dead = [s for s in order if s not in alive]
     node = space._node
     sessions.inhibit(*(node[s] for s in dead))
@@ -511,21 +477,23 @@ def _register_solution(space: StateSpace, path: list[int]) -> int:
     return concept
 
 
-def _shortest_path(
-    space: StateSpace,
+def _search(
+    memo: Mapping[int, list[int]],
+    expand: Callable[[int], list[int]],
     source: int,
-    blocked: Callable[[int], bool],
+    goal: int,
+    blocked: Callable[[int], bool] = frozenset().__contains__,
     avoid: Iterable[int] = (),
     cut: Container[int] = (),
-) -> tuple[Optional[list[int]], int]:
-    """BFS with parent pointers from `source` to the goal state.
+) -> tuple[Optional[list[int]], list[int]]:
+    """Breadth-first search with parent pointers from `source` to `goal`
+    (-1 for none, to reach everything reachable).
 
-    Never enters a `blocked` state or a state in `avoid`, and does not step
-    from `source` into a state in `cut`. Returns the path, or None, with
-    the number of states the search reached.
+    A state's successors are `memo[state]`, or `expand(state)` when the
+    memo has none. Never enters a `blocked` state or a state in `avoid`,
+    and does not step from `source` into a state in `cut`. Returns the
+    path, or None, with the states reached, in breadth-first order.
     """
-    goal = space._goal
-    memo, expand = space._succ, space._expand
     parent = dict.fromkeys(avoid, -1)
     parent[source] = -1
     queue = [source]
@@ -534,7 +502,7 @@ def _shortest_path(
             path = [cur]
             while (cur := parent[cur]) >= 0:
                 path.append(cur)
-            return path[::-1], len(queue)
+            return path[::-1], queue
         succs = memo.get(cur)
         if succs is None:
             succs = expand(cur)
@@ -544,7 +512,7 @@ def _shortest_path(
             if nxt not in parent and not blocked(nxt):
                 parent[nxt] = cur
                 queue.append(nxt)
-    return None, len(queue)
+    return None, queue
 
 
 def _loopless_paths(space: StateSpace, blocked: Callable[[int], bool]) -> Iterator[list[int]]:
@@ -552,19 +520,22 @@ def _loopless_paths(space: StateSpace, blocked: Callable[[int], bool]) -> Iterat
 
     Yields each path as a list of state codes. Paths come in nondecreasing
     length, equal lengths ordered by the breadth-first ranks of their states
-    (`StateSpace._order`), so the order depends only on the environment and
+    in `StateSpace._order`, so the order depends only on the environment and
     `blocked`, not on which states earlier calls named. Each path after the
     first is the shortest candidate that leaves an earlier path at some
     state (the spur) by a transition no earlier path with the same prefix
     took, and never revisits the prefix. The first path needs no rank, so
-    the full build runs only when a second path is asked for. Raises
-    `InvalidEnvError` once the spur searches have reached more than
-    `MAX_SPUR_STATES` states, summed.
+    the full build runs, and the ranks are counted once from it, only when
+    a second path is asked for. Raises `InvalidEnvError` once the spur
+    searches have reached more than `MAX_SPUR_STATES` states, summed.
     """
-    start = space._start
-    path = None if blocked(start) else _shortest_path(space, start, blocked)[0]
+    start, goal = space._start, space._goal
+    memo, expand = space._succ, space._expand
+    path = None if blocked(start) else _search(memo, expand, start, goal, blocked)[0]
     if path is None:
         return
+    yield path
+    rank = {s: i for i, s in enumerate(space._order)}
     candidates = []  # a heap of (length, rank key, path)
     seen = set()  # candidate keys; the prefix tree keeps yielded paths out
     # the yielded paths as a prefix tree below the start state: the keys of
@@ -572,14 +543,12 @@ def _loopless_paths(space: StateSpace, blocked: Callable[[int], bool]) -> Iterat
     tree: dict[int, dict] = {}
     reached = 0
     while True:
-        yield path
-        rank = space._order
         subtree = tree
         for i in range(len(path) - 1):
             subtree.setdefault(path[i + 1], {})
             taken, subtree = subtree, subtree[path[i + 1]]
-            spur, count = _shortest_path(space, path[i], blocked, path[:i], taken)
-            reached += count
+            spur, spur_reached = _search(memo, expand, path[i], goal, blocked, path[:i], taken)
+            reached += len(spur_reached)
             if reached > MAX_SPUR_STATES:
                 raise InvalidEnvError(
                     f"the route search exceeds {MAX_SPUR_STATES} states;"
@@ -595,6 +564,7 @@ def _loopless_paths(space: StateSpace, blocked: Callable[[int], bool]) -> Iterat
         if not candidates:
             return
         path = heapq.heappop(candidates)[2]
+        yield path
 
 
 def _solutions(

@@ -8,6 +8,7 @@ under test.
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import replace
 from fractions import Fraction
 
 from gridmind import Environment, Grid, NodeKind, State, extract_features
@@ -35,8 +36,11 @@ def legal_successors(env: Environment, state: State) -> list[State]:
     return out
 
 
-def reachable_states(env: Environment) -> set[State]:
+def breadth_first_states(env: Environment) -> list[State]:
+    """Every reachable state, in the order a breadth-first search from the
+    start first meets it, stepping with `legal_successors`."""
     start = State(env.start, env.box)
+    order = [start]
     seen = {start}
     queue = deque([start])
     while queue:
@@ -44,8 +48,13 @@ def reachable_states(env: Environment) -> set[State]:
         for nxt in legal_successors(env, cur):
             if nxt not in seen:
                 seen.add(nxt)
+                order.append(nxt)
                 queue.append(nxt)
-    return seen
+    return order
+
+
+def reachable_states(env: Environment) -> set[State]:
+    return set(breadth_first_states(env))
 
 
 def goal_reachable(env: Environment) -> bool:
@@ -72,6 +81,24 @@ def bfs_distance(env: Environment, forbidden: set | None = None) -> int | None:
             seen[nxt] = seen[cur] + 1
             queue.append(nxt)
     return None
+
+
+def push_cut_off(env: Environment) -> bool:
+    """Whether a push puzzle is unsolvable for a reason its cells alone show:
+    no push sequence takes the box to its target even with the agent free
+    to stand anywhere (a push needs the cell behind the box free), or the
+    agent cannot reach its goal with the box taken away."""
+    seen = {env.box}
+    queue = deque([env.box])
+    while queue:
+        x, y = queue.popleft()
+        for _, (dx, dy) in DELTA_ORDER:
+            nxt = (x + dx, y + dy)
+            if env.is_free(nxt) and env.is_free((x - dx, y - dy)) and nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    walled = bfs_distance(replace(env, box=None, box_target=None)) is None
+    return env.box_target not in seen or walled
 
 
 def all_simple_maze_paths(env: Environment) -> set[tuple]:

@@ -25,13 +25,14 @@ from gridmind.solver import InvalidEnvError
 from oracles import (
     all_simple_maze_paths,
     bfs_distance,
+    breadth_first_states,
     count_simple_maze_paths,
     deadlock_oracle,
     goal_reachable,
     legal_successors,
+    push_cut_off,
     random_maze_text,
     random_push_text,
-    reachable_states,
 )
 
 CORRIDOR = "S.G\n"
@@ -70,6 +71,33 @@ def test_state_space_refuses_a_mark_on_a_wall(mark):
     env = Environment.from_text("S.G\n#B.\n..T\n")
     with pytest.raises(InvalidEnvError, match="on a wall"):
         StateSpace(replace(env, **{mark: (0, 1)}))
+
+
+@pytest.mark.parametrize(
+    "marks",
+    [{"box": (1, 1)}, {"box_target": (1, 1)}],
+    ids=["box-without-target", "target-without-box"],
+)
+def test_state_space_refuses_a_box_or_target_alone(marks):
+    env = Environment(3, 3, frozenset(), (0, 0), (2, 2), **marks)
+    with pytest.raises(InvalidEnvError, match="both a box and a box target"):
+        StateSpace(env)
+
+
+@pytest.mark.parametrize("size", [(257, 1), (1, 257)])
+def test_state_space_refuses_an_environment_over_the_size_limit(size):
+    env = Environment(*size, frozenset(), (0, 0), (0, 0))
+    with pytest.raises(InvalidEnvError, match="larger than 256x256"):
+        StateSpace(env)
+
+
+@pytest.mark.parametrize("wall", [(3, 0), (-1, 1), (5, 5), (1, -1), (0, 3)])
+@pytest.mark.parametrize("marks", [{}, {"box": (1, 1), "box_target": (2, 1)}], ids=["maze", "push"])
+def test_an_off_grid_wall_blocks_nothing(wall, marks):
+    # as `Environment.is_free` has it; without the bounds check such a wall
+    # lands on a cell of another row or raises IndexError
+    env = Environment(3, 3, frozenset({wall, (2, 2)}), (0, 0), (0, 2), **marks)
+    _assert_matches_brute_force(env)
 
 
 @pytest.mark.parametrize(
@@ -129,7 +157,7 @@ def _random_envs(rng, count):
 
 def _assert_matches_brute_force(env):
     space = StateSpace(env)
-    assert set(space.states) == reachable_states(env)
+    assert space.states == breadth_first_states(env)
     assert len(space.states) == len(space.transitions)
     for s in space.states:
         assert space.transitions[s] == legal_successors(env, s)
@@ -480,6 +508,22 @@ def test_push_dead_square_is_sound_random():
         else:
             assert not walled, text
     assert dead >= 30 and cut >= 10
+
+
+def test_push_cut_off_matches_oracle():
+    rng = random.Random(23)
+    checked = cut = 0
+    for _ in range(2000):
+        size = rng.randint(3, 6)
+        text = random_push_text(rng, size, size, rng.uniform(0, 0.35))
+        if text is None:
+            continue
+        env = Environment.from_text(text)
+        expected = push_cut_off(env)
+        assert StateSpace(env)._cut_off() == expected, text
+        checked += 1
+        cut += expected
+    assert checked > 1900 and 200 < cut < checked - 200
 
 
 def test_push_random_solvable_iff_oracle():
