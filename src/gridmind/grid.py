@@ -69,19 +69,21 @@ class Grid:
 
     @classmethod
     def from_text(cls, text: str) -> "Grid":
-        lines = [ln for ln in text.splitlines()]
+        lines = text.splitlines()
         while lines and not lines[-1].strip():
             lines.pop()
         if not lines:
             raise GridError("no grid rows in input")
-        width = max(len(ln) for ln in lines)
+        width, height = max(map(len, lines)), len(lines)
+        if width > MAX_DIM or height > MAX_DIM:  # before a cell is made, as `__post_init__`
+            raise GridError(f"grid dimensions out of range: {width}x{height}")
         cells = {}
         for y, line in enumerate(lines):
             for x, ch in enumerate(line):
                 if ch in EMPTY_CHARS:
                     continue
                 cells[(x, y)] = ch
-        return cls(width, len(lines), cells)
+        return cls(width, height, cells)
 
     @classmethod
     def from_cells(cls, cells: dict[tuple[int, int], str]) -> "Grid":

@@ -54,7 +54,8 @@ from .inhibition import SessionStack, StateGraphView
 DIRECTIONS = (("N", (0, -1)), ("E", (1, 0)), ("S", (0, 1)), ("W", (-1, 0)))
 
 WALL = "#"
-FREE_CHARS = {".", " "}
+_CELL_CHARS = frozenset(WALL + "SGBT. ")  # every character an environment may hold
+_FREE_TABLE = bytes.maketrans(WALL.encode(), b"\0")  # a wall's byte to 0, the rest kept
 
 # Most states a search or a full build may step from. Every maze up to
 # MAX_DIM x MAX_DIM fits, and so does every push puzzle up to about a 16 x 16
@@ -79,9 +80,14 @@ class State(NamedTuple):
 
 @dataclass(frozen=True)
 class Environment:
+    """A grid of `width` x `height` cells. `free` is one byte per cell,
+    row-major (cell `(x, y)` at `y * width + x`): 0 on a wall, non-zero on
+    a free cell. `box` and `box_target` are both set in a push puzzle and
+    both None in a maze."""
+
     width: int
     height: int
-    walls: frozenset[tuple[int, int]]
+    free: bytes
     start: tuple[int, int]
     goal: tuple[int, int]
     box: Optional[tuple[int, int]] = None
@@ -89,7 +95,7 @@ class Environment:
 
     def is_free(self, pos: tuple[int, int]) -> bool:
         x, y = pos
-        return 0 <= x < self.width and 0 <= y < self.height and pos not in self.walls
+        return 0 <= x < self.width and 0 <= y < self.height and self.free[y * self.width + x] != 0
 
     @property
     def start_state(self) -> State:
@@ -101,40 +107,33 @@ class Environment:
 
     @classmethod
     def from_text(cls, text: str) -> "Environment":
-        lines = [ln for ln in text.splitlines()]
+        lines = text.splitlines()
         while lines and not lines[-1].strip():
             lines.pop()
         if not lines:
             raise InvalidEnvError("empty environment")
-        width = max(len(ln) for ln in lines)
-        if width > MAX_DIM or len(lines) > MAX_DIM:
-            raise InvalidEnvError(f"environment larger than {MAX_DIM}x{MAX_DIM}: {width}x{len(lines)}")
-        walls = set()
-        marks: dict[str, list[tuple[int, int]]] = {"S": [], "G": [], "B": [], "T": []}
-        for y, line in enumerate(lines):
-            padded = line.ljust(width, WALL)
-            for x, ch in enumerate(padded):
-                if ch == WALL:
-                    walls.add((x, y))
-                elif ch in marks:
-                    marks[ch].append((x, y))
-                elif ch not in FREE_CHARS:
-                    raise InvalidEnvError(f"unknown cell {ch!r} at ({x}, {y})")
-        if len(marks["S"]) != 1 or len(marks["G"]) != 1:
+        width, height = max(map(len, lines)), len(lines)
+        if width > MAX_DIM or height > MAX_DIM:
+            raise InvalidEnvError(f"environment larger than {MAX_DIM}x{MAX_DIM}: {width}x{height}")
+        # the rows, each padded with walls to the width, in row-major order
+        cells = "".join(line.ljust(width, WALL) for line in lines)
+        unknown = set(cells) - _CELL_CHARS
+        if unknown:
+            first = min(map(cells.index, unknown))
+            raise InvalidEnvError(f"unknown cell {cells[first]!r} at ({first % width}, {first // width})")
+        if cells.count("S") != 1 or cells.count("G") != 1:
             raise InvalidEnvError("environment needs exactly one S and one G")
-        if len(marks["B"]) != len(marks["T"]) or len(marks["B"]) > 1:
+        boxes = cells.count("B")
+        if boxes != cells.count("T") or boxes > 1:
             raise InvalidEnvError("a push puzzle needs exactly one B and one T")
-        box = marks["B"][0] if marks["B"] else None
-        target = marks["T"][0] if marks["T"] else None
-        return cls(
-            width,
-            len(lines),
-            frozenset(walls),
-            marks["S"][0],
-            marks["G"][0],
-            box,
-            target,
-        )
+
+        def place(mark: str) -> tuple[int, int]:
+            y, x = divmod(cells.find(mark), width)
+            return x, y
+
+        box, target = (place("B"), place("T")) if boxes else (None, None)
+        free = cells.encode().translate(_FREE_TABLE)
+        return cls(width, height, free, place("S"), place("G"), box, target)
 
 
 @dataclass(frozen=True)
@@ -215,7 +214,7 @@ class StateSpace:
     `_cells`. `_node` maps a state to its concept node and `_code` maps the
     node back. `_succ` holds the successors, in `DIRECTIONS` order, of each
     state a search has stepped from; `MAX_STATES` bounds its size. `_free`
-    is one byte per cell, row-major, 1 where `env.is_free`. A maze state is
+    is `env.free`, the environment's own table, not a copy. A maze state is
     its agent's cell and is stepped from once, so `_expand` reads its free
     neighbours straight from `_free`. A push puzzle's `_moves` holds, for
     each free cell a search has reached, the cell one move away in each
@@ -233,6 +232,8 @@ class StateSpace:
     def __init__(self, env: Environment):
         if env.width > MAX_DIM or env.height > MAX_DIM:  # as `from_text`
             raise InvalidEnvError(f"environment larger than {MAX_DIM}x{MAX_DIM}: {env.width}x{env.height}")
+        if len(env.free) != env.width * env.height:
+            raise InvalidEnvError(f"free-cell table of {len(env.free)} bytes for {env.width}x{env.height} cells")
         if (env.box is None) != (env.box_target is None):
             raise InvalidEnvError("a push puzzle needs both a box and a box target")
         if not env.is_free(env.start) or not env.is_free(env.goal):
@@ -243,16 +244,12 @@ class StateSpace:
             raise InvalidEnvError("box or box target on a wall")
         self.env = env
         self.graph = ConceptGraph()
-        width, height = env.width, env.height
         # a state's agent cell is `state // _per_agent`, its box cell the rest
-        self._per_agent = width * height if env.box is not None else 1
+        self._per_agent = env.width * env.height if env.box is not None else 1
         self._cells = _Cells(env.width)
         self._node: dict[int, int] = {}  # state -> its concept node
         self._code: dict[int, int] = {}  # concept node -> its state
-        free = self._free = bytearray(b"\x01") * (width * height)
-        for x, y in env.walls:
-            if 0 <= x < width and 0 <= y < height:  # an off-grid wall blocks nothing
-                free[y * width + x] = 0
+        self._free = env.free  # `_expand` reads it on every step
         self._moves: list[Optional[tuple[int, int, int, int]]] = (
             [None] * self._per_agent if env.box is not None else []
         )

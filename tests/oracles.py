@@ -20,6 +20,41 @@ DELTA_ORDER = [("N", (0, -1)), ("E", (1, 0)), ("S", (0, 1)), ("W", (-1, 0))]
 # -- state-space oracles ---------------------------------------------------
 
 
+def parse_environment(text: str):
+    """The environment `text` describes, read cell by cell in (x, y) order:
+    the error message `Environment.from_text` gives for it, or
+    `(width, height, walls, S, G, B, T)` with `walls` a set of cells and
+    `B` and `T` None in a maze."""
+    lines = text.splitlines()
+    while lines and lines[-1].strip() == "":
+        del lines[-1]
+    if not lines:
+        return "empty environment"
+    width = max(len(line) for line in lines)
+    height = len(lines)
+    if width > 256 or height > 256:
+        return f"environment larger than 256x256: {width}x{height}"
+    walls = set()
+    marks = {"S": [], "G": [], "B": [], "T": []}
+    for y in range(height):
+        for x in range(width):
+            ch = lines[y][x] if x < len(lines[y]) else "#"
+            if ch == "#":
+                walls.add((x, y))
+            elif ch in marks:
+                marks[ch].append((x, y))
+            elif ch not in ". ":
+                return f"unknown cell {ch!r} at ({x}, {y})"
+    if len(marks["S"]) != 1 or len(marks["G"]) != 1:
+        return "environment needs exactly one S and one G"
+    if len(marks["B"]) != len(marks["T"]) or len(marks["B"]) > 1:
+        return "a push puzzle needs exactly one B and one T"
+    box = marks["B"][0] if marks["B"] else None
+    target = marks["T"][0] if marks["T"] else None
+    return width, height, walls, marks["S"][0], marks["G"][0], box, target
+
+
+
 def legal_successors(env: Environment, state: State) -> list[State]:
     out = []
     ax, ay = state.agent

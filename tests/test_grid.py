@@ -1,5 +1,7 @@
 """Grid inputs: size limits, cell checks and parsing."""
 
+import tracemalloc
+
 import pytest
 
 from gridmind import Grid
@@ -9,6 +11,22 @@ from gridmind.grid import GridError
 def test_from_text_refuses_a_row_wider_than_the_limit():
     with pytest.raises(GridError, match="257x1"):
         Grid.from_text("x" * 257 + "\n")
+
+
+@pytest.mark.parametrize(
+    "text, size",
+    [("x" * 1_000_000 + "\n", "1000000x1"), ("x\n" * 200_000, "1x200000")],
+    ids=["wide", "tall"],
+)
+def test_from_text_refuses_an_oversize_text_before_it_builds_cells(text, size):
+    tracemalloc.start()
+    try:
+        with pytest.raises(GridError, match=f"grid dimensions out of range: {size}$"):
+            Grid.from_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000, peak
 
 
 def test_cell_outside_the_grid_is_refused():

@@ -7,6 +7,8 @@ import weakref
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridmind import (
     Environment,
@@ -30,6 +32,7 @@ from oracles import (
     deadlock_oracle,
     goal_reachable,
     legal_successors,
+    parse_environment,
     push_cut_off,
     random_maze_text,
     random_push_text,
@@ -79,25 +82,61 @@ def test_state_space_refuses_a_mark_on_a_wall(mark):
     ids=["box-without-target", "target-without-box"],
 )
 def test_state_space_refuses_a_box_or_target_alone(marks):
-    env = Environment(3, 3, frozenset(), (0, 0), (2, 2), **marks)
+    env = Environment(3, 3, b"\x01" * 9, (0, 0), (2, 2), **marks)
     with pytest.raises(InvalidEnvError, match="both a box and a box target"):
         StateSpace(env)
 
 
 @pytest.mark.parametrize("size", [(257, 1), (1, 257)])
 def test_state_space_refuses_an_environment_over_the_size_limit(size):
-    env = Environment(*size, frozenset(), (0, 0), (0, 0))
+    env = Environment(*size, b"\x01" * (size[0] * size[1]), (0, 0), (0, 0))
     with pytest.raises(InvalidEnvError, match="larger than 256x256"):
         StateSpace(env)
 
 
-@pytest.mark.parametrize("wall", [(3, 0), (-1, 1), (5, 5), (1, -1), (0, 3)])
-@pytest.mark.parametrize("marks", [{}, {"box": (1, 1), "box_target": (2, 1)}], ids=["maze", "push"])
-def test_an_off_grid_wall_blocks_nothing(wall, marks):
-    # as `Environment.is_free` has it; without the bounds check such a wall
-    # lands on a cell of another row or raises IndexError
-    env = Environment(3, 3, frozenset({wall, (2, 2)}), (0, 0), (0, 2), **marks)
-    _assert_matches_brute_force(env)
+@pytest.mark.parametrize("size", [8, 10], ids=["short", "long"])
+def test_state_space_refuses_a_free_table_of_the_wrong_length(size):
+    env = Environment(3, 3, b"\x01" * size, (0, 0), (2, 2))
+    with pytest.raises(InvalidEnvError, match=f"free-cell table of {size} bytes for 3x3 cells"):
+        StateSpace(env)
+
+
+@st.composite
+def _environment_texts(draw):
+    """Ragged rows of walls and free cells with marks inserted anywhere,
+    now and then an unknown cell, and trailing blank lines. The mark sets
+    are drawn so that every check of `from_text` fails in some texts and
+    every one passes in others."""
+    text = "\n".join(draw(st.lists(st.text(alphabet=".# ", max_size=6), max_size=5)))
+    marks = draw(st.one_of(
+        *map(st.permutations, ["SG", "SGBT", "SGT", "SGBBTT"]),
+        st.lists(st.sampled_from("SGBT\tx"), max_size=6),
+    ))
+    for mark in marks:
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + mark + text[at:]
+    return text + "".join(draw(st.lists(st.sampled_from(["\n", "\n ", "\n  "]), max_size=2)))
+
+
+@given(text=_environment_texts())
+@settings(max_examples=300, deadline=None)
+def test_from_text_matches_the_cell_by_cell_parser(text):
+    expected = parse_environment(text)
+    if isinstance(expected, str):
+        with pytest.raises(InvalidEnvError) as refused:
+            Environment.from_text(text)
+        assert str(refused.value) == expected
+        return
+    width, height, walls, start, goal, box, target = expected
+    env = Environment.from_text(text)
+    assert (env.width, env.height, env.start, env.goal, env.box, env.box_target) == (
+        width, height, start, goal, box, target,
+    )
+    # every cell, and a one-cell ring outside the grid
+    for y in range(-1, height + 1):
+        for x in range(-1, width + 1):
+            on_grid = 0 <= x < width and 0 <= y < height
+            assert env.is_free((x, y)) == (on_grid and (x, y) not in walls)
 
 
 @pytest.mark.parametrize(
