@@ -148,12 +148,15 @@ class ConceptGraph:
         key = tuple(sorted(set(children)))
         if len(key) < 2:
             raise ArityError(f"composite needs >= 2 children, got {len(key)}")
-        for child, _role in key:
-            self.node(child)
+        # only known children are ever indexed, so a hit needs no check
         existing = self._composite_index.get(key)
         if existing is not None:
             return existing
-        scale = sum(self.nodes[c].scale for c, _ in key)
+        nodes = self.nodes
+        try:
+            scale = sum(nodes[c].scale for c, _ in key)
+        except KeyError as missing:  # the first unknown child in key order
+            raise UnknownNodeError(f"no node {missing.args[0]}") from None
         node_id = self._new_node(kind, scale=scale)
         self._attach(node_id, key)
         return node_id

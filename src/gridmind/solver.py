@@ -5,17 +5,21 @@ and nothing else. Inside a `StateSpace` a state is one int: the agent's
 cell index `y * width + x` in a maze, `agent * (width * height) + box` in a
 push puzzle. Each state a search steps from keeps its successors as a
 list of ints, and `State` tuples are decoded only at the public boundary
-(`states`, `transitions`, `node_of`, `state_of` and `Solution.path`). A
-state gets a concept node only from the full build or from a path
-registered as a solution; `node_of` raises `KeyError` for a state with
-none, so read `states` or `view()` first to name them all.
+(`states`, `transitions`, `node_of`, `state_of` and `Solution.path`).
+Naming, registering and decoding a batch of states makes no Python call
+per state (see `StateSpace`). A state gets a concept node only from the
+full build or from a path registered as a solution; `node_of` raises
+`KeyError` for a state with none, so read `states` or `view()` first to
+name them all.
 
 One breadth-first search with parent pointers, `_search`, does all the
 searching. It has five users:
 
 - the first route from the start to the goal, which skips blocked states:
   those inhibited in the caller's sessions and, under constraints, those
-  on a forbidden cell;
+  on a forbidden cell. `blocked` is a container the search tests with
+  `in`: the inhibited set itself, `()` when nothing is blocked, or a
+  `_Blocked` under constraints;
 - the spur searches of Yen's algorithm (1971), which yields every loopless
   start-to-goal path in nondecreasing length, equal lengths in the order
   of their states' breadth-first ranks, so the order depends only on the
@@ -156,8 +160,9 @@ class NoSolution:
 
 
 class _Cells(dict):
-    """Cell index -> ((x, y), "x,y"), made on the cell's first lookup, so a
-    short path in a large grid pays only for the cells it visits."""
+    """Cell index -> ((x, y), "x,y") for push states, made on the cell's
+    first lookup, so a short path in a large grid pays only for the cells
+    it visits."""
 
     def __init__(self, width: int):
         super().__init__()
@@ -210,15 +215,19 @@ class StateSpace:
     name one state label in the same graph.
 
     Inside the space a state is one int (see the module docstring);
-    `_encode` and `_decode_all` convert to and from `State` tuples through
-    `_cells`. `_node` maps a state to its concept node and `_code` maps the
-    node back. `_succ` holds the successors, in `DIRECTIONS` order, of each
-    state a search has stepped from; `MAX_STATES` bounds its size. `_free`
-    is `env.free`, the environment's own table, not a copy. A maze state is
-    its agent's cell and is stepped from once, so `_expand` reads its free
-    neighbours straight from `_free`. A push puzzle's `_moves` holds, for
-    each free cell a search has reached, the cell one move away in each
-    direction or -1, so every state with the agent on that cell reuses it.
+    `_encode` and `_decode_all` convert to and from `State` tuples. A maze
+    state's `(x, y)` and its label `state:x,y` come from arithmetic on its
+    code. `_cells` serves push states only: they share their cells' `(x,
+    y)` tuples and label parts through it, so a full push build holds one
+    tuple per cell, not two per state. `_node` maps a state to its concept
+    node and `_code` maps the node back. `_succ` holds the successors, in
+    `DIRECTIONS` order, of each state a search has stepped from;
+    `MAX_STATES` bounds its size. `_free` is `env.free`, the environment's
+    own table, not a copy. A maze state is its agent's cell and is stepped
+    from once, so `_expand` reads its free neighbours straight from
+    `_free`. A push puzzle's `_moves` holds, for each free cell a search
+    has reached, the cell one move away in each direction or -1, so every
+    state with the agent on that cell reuses it.
 
     `node_of` and `state_of` are read-only views made fresh on each
     access; the space stores none, so it closes no reference cycle and is
@@ -281,23 +290,26 @@ class StateSpace:
         return agent * self._per_agent + box
 
     def _decode_all(self, codes: Iterable[int]) -> list[State]:
-        cells = self._cells
+        # `tuple.__new__` skips the named tuple's Python-level `__new__`
+        new = tuple.__new__
         if self.env.box is None:
-            return [State(cells[c][0]) for c in codes]
-        per_agent = self._per_agent
-        return [State(cells[c // per_agent][0], cells[c % per_agent][0]) for c in codes]
+            width = self.env.width
+            return [new(State, ((c % width, c // width), None)) for c in codes]
+        cells, per_agent = self._cells, self._per_agent
+        return [new(State, (cells[c // per_agent][0], cells[c % per_agent][0])) for c in codes]
 
     def _name_all(self, codes: Iterable[int]) -> None:
         """Give each unnamed state among `codes` (distinct) a concept node
         labelled `state:x,y` (`state:x,y:bx,by` with a box), in the order
         given, in one batch."""
-        node, cells = self._node, self._cells
+        node = self._node
         new = [c for c in codes if c not in node]
         if new:
             if self.env.box is None:
-                labels = ["state:" + cells[c][1] for c in new]
+                width = self.env.width
+                labels = [f"state:{c % width},{c // width}" for c in new]
             else:
-                per_agent = self._per_agent
+                cells, per_agent = self._cells, self._per_agent
                 labels = [f"state:{cells[c // per_agent][1]}:{cells[c % per_agent][1]}" for c in new]
             ids = self.graph.create_atoms(NodeKind.STATE, labels)
             node.update(zip(new, ids))
@@ -479,7 +491,7 @@ def _search(
     expand: Callable[[int], list[int]],
     source: int,
     goal: int,
-    blocked: Callable[[int], bool] = frozenset().__contains__,
+    blocked: Container[int] = (),
     avoid: Iterable[int] = (),
     cut: Container[int] = (),
 ) -> tuple[Optional[list[int]], list[int]]:
@@ -506,13 +518,13 @@ def _search(
         if cur == source:
             succs = [nxt for nxt in succs if nxt not in cut]
         for nxt in succs:
-            if nxt not in parent and not blocked(nxt):
+            if nxt not in parent and nxt not in blocked:
                 parent[nxt] = cur
                 queue.append(nxt)
     return None, queue
 
 
-def _loopless_paths(space: StateSpace, blocked: Callable[[int], bool]) -> Iterator[list[int]]:
+def _loopless_paths(space: StateSpace, blocked: Container[int]) -> Iterator[list[int]]:
     """Yen's algorithm: loopless start-to-goal paths avoiding `blocked` states.
 
     Yields each path as a list of state codes. Paths come in nondecreasing
@@ -528,7 +540,7 @@ def _loopless_paths(space: StateSpace, blocked: Callable[[int], bool]) -> Iterat
     """
     start, goal = space._start, space._goal
     memo, expand = space._succ, space._expand
-    path = None if blocked(start) else _search(memo, expand, start, goal, blocked)[0]
+    path = None if start in blocked else _search(memo, expand, start, goal, blocked)[0]
     if path is None:
         return
     yield path
@@ -564,6 +576,17 @@ def _loopless_paths(space: StateSpace, blocked: Callable[[int], bool]) -> Iterat
         yield path
 
 
+class _Blocked:
+    """The states a search under constraints never enters: those inhibited,
+    and those with the agent on one of the forbidden `cells`."""
+
+    def __init__(self, inhibited: set[int], cells: set[int], per_agent: int):
+        self.inhibited, self.cells, self.per_agent = inhibited, cells, per_agent
+
+    def __contains__(self, state: int) -> bool:
+        return state in self.inhibited or state // self.per_agent in self.cells
+
+
 def _solutions(
     space: StateSpace,
     sessions: SessionStack,
@@ -576,10 +599,9 @@ def _solutions(
     code = space._code
     inhibited = {code[n] for n in sessions.inhibited_nodes() if n in code}
     cells = {space._cell(cell) for cell in forbidden} - {-1}
-    blocked = inhibited.__contains__
+    blocked: Container[int] = inhibited or ()
     if cells:
-        per_agent = space._per_agent
-        blocked = lambda s: s in inhibited or s // per_agent in cells
+        blocked = _Blocked(inhibited, cells, space._per_agent)
     for path in _loopless_paths(space, blocked):
         concept = _register_solution(space, path)
         if not sessions.is_inhibited(concept):

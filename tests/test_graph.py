@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from gridmind import ConceptGraph, NodeKind, SessionStack
 from gridmind.cli import main
-from gridmind.graph import ArityError, ParseError, SelfMutexError
+from gridmind.graph import ArityError, ParseError, SelfMutexError, UnknownNodeError
 from oracles import inhibition_closure_oracle, legacy_quote, links_on_cycles
 
 
@@ -56,6 +56,21 @@ def test_composite_arity_error():
     a = g.create_primitive("a")
     with pytest.raises(ArityError):
         g.create_composite([(a, (0, 0))])
+
+
+@pytest.mark.parametrize("unknown", [4, -1, 0.5], ids=["past-the-end", "negative", "half"])
+def test_create_composite_names_its_first_unknown_child(unknown):
+    g = ConceptGraph()
+    a, b, c = (g.create_primitive(label) for label in "abc")
+    known = g.create_composite([(a, (0, 0)), (b, (1, 0))])
+    index = dict(g._composite_index)
+    # 7 is unknown too, but `unknown` comes first in key order, not in the list
+    children = [(7, (0, 0)), (c, (1, 0)), (unknown, (2, 0)), (a, (0, 0))]
+    for kind in (NodeKind.COMPOSITE, NodeKind.SOLUTION):
+        with pytest.raises(UnknownNodeError, match=rf"^no node {unknown}$"):
+            g.create_composite(children, kind=kind)
+    assert len(g) == known + 1
+    assert g._composite_index == index
 
 
 def test_cycle_rejected_on_import():

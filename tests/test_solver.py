@@ -483,22 +483,30 @@ def test_constraints_off_grid_cells_do_not_alias():
 
 def test_constraints_random_instances():
     rng = random.Random(67)
-    for _ in range(25):
-        env = Environment.from_text(random_maze_text(rng, 5, 5, 0.3))
+    moved = {False: 0, True: 0}  # instances whose forbidden cells change the distance, by box
+    for env in _random_envs(rng, 60):
         cells = [
             (x, y)
             for x in range(env.width)
             for y in range(env.height)
             if env.is_free((x, y)) and (x, y) not in (env.start, env.goal)
         ]
-        forbidden = set(rng.sample(cells, min(len(cells), rng.randint(0, 3))))
+        forbidden = set(rng.sample(cells, min(len(cells), rng.randint(0, 2))))
+        plain = solve(StateSpace(env))
+        route = [s.agent for s in plain.path if s.agent in cells] if isinstance(plain, Solution) else []
+        if route:  # cut the unconstrained route at one cell
+            forbidden.add(rng.choice(route))
         result = solve_with_constraints(StateSpace(env), forbidden)
         oracle = bfs_distance(env, forbidden=forbidden)
         if oracle is None:
             assert isinstance(result, NoSolution)
         else:
             assert isinstance(result, Solution)
+            _assert_legal(env, result)
+            assert len(result.moves) == oracle
             assert all(s.agent not in forbidden for s in result.path)
+        moved[env.box is not None] += oracle != bfs_distance(env)
+    assert min(moved.values()) >= 10  # 24 mazes and 13 push puzzles
 
 
 def test_push_puzzle_solvable_and_legal():
@@ -695,6 +703,32 @@ def test_full_build_keeps_names_given_during_search():
     assert all(space.node_of[s] == n for s, n in named.items())
     assert set(space.state_of) == set(space.node_of.values())
     assert len(space.view().states) == 8
+
+
+def _assert_genuine_states(states) -> int:
+    count = 0
+    for state in states:
+        assert type(state) is State
+        rebuilt = State(state.agent, state.box)
+        assert state == rebuilt and hash(state) == hash(rebuilt)
+        assert type(state.agent) is tuple and len(state.agent) == 2
+        count += 1
+    return count
+
+
+@pytest.mark.parametrize("text", [T_MAZE, "S....\n.B...\n...T.\n....G\n.....\n"], ids=["maze", "push"])
+def test_the_solver_hands_out_genuine_states(text):
+    # states are built with `tuple.__new__`, bypassing the named tuple's
+    # own constructor, so each public way out is checked for a real `State`
+    space = StateSpace(Environment.from_text(text))
+    path = solve(space).path
+    assert _assert_genuine_states(path) > 2
+    assert _assert_genuine_states(space.state_of.values()) == len(path)
+    assert _assert_genuine_states(space.node_of) == len(path)
+    assert _assert_genuine_states(space.states) == len(space.states)
+    assert _assert_genuine_states(space.node_of) == len(space.states)
+    assert _assert_genuine_states(space.state_of.values()) == len(space.states)
+    assert _assert_genuine_states(prune_deadlocks(space, SessionStack(space.graph))) > 0
 
 
 def test_dropped_space_is_freed_without_the_cycle_collector():
