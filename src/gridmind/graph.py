@@ -200,9 +200,6 @@ class ConceptGraph:
             for b in ids[i + 1 :]:
                 self.excitatory[(a, b)] = self.excitatory.get((a, b), 0) + 1
 
-    def association_weight(self, a: int, b: int) -> int:
-        return self.excitatory.get(_pair(a, b), 0)
-
     def neighbors_by_weight(self, n: int) -> list[tuple[int, int]]:
         """(weight, other) pairs for every excitatory link touching n."""
         out = []
@@ -215,23 +212,9 @@ class ConceptGraph:
 
     # -- structure queries -------------------------------------------------
 
-    def parents_of(self, n: int) -> set[int]:
-        self.node(n)
-        return set(self._parents.get(n, ()))
-
     def children_of(self, n: int) -> list[tuple[int, Role]]:
         self.node(n)
         return list(self._children.get(n, ()))
-
-    def descendants(self, n: int) -> set[int]:
-        seen: set[int] = set()
-        stack = [c for c, _ in self._children.get(n, ())]
-        while stack:
-            c = stack.pop()
-            if c not in seen:
-                seen.add(c)
-                stack.extend(ch for ch, _ in self._children.get(c, ()))
-        return seen
 
     def find_composite(self, children: list[tuple[int, Role]]) -> int | None:
         return self._composite_index.get(tuple(sorted(set(children))))

@@ -6,6 +6,13 @@ feature as a concept anchored at its top-left-most cell and groups all
 co-active features under a root composite. Reconstruction expands the
 composition links top-down and reproduces the input, which is the mirror
 property everything else leans on.
+
+This module stands on `graph` and `grid` alone. Recognition under
+inhibition is the caller's filter over the ranked list: `[m for m in
+learner.recognize(g) if not sessions.is_inhibited(m.concept)]` is the
+list with the inhibited composites left out, because no composite's score
+or rank depends on another's. A caller that must not reconstruct an
+inhibited node tests `sessions.is_inhibited(root)` first.
 """
 
 from __future__ import annotations
@@ -16,7 +23,6 @@ from typing import NamedTuple
 
 from .graph import ConceptGraph, NodeKind
 from .grid import MAX_DIM, Grid, GridError
-from .inhibition import SessionStack
 
 Coord = tuple[int, int]
 
@@ -32,10 +38,6 @@ class LearningError(Exception):
 
 
 class EmptyInputError(LearningError):
-    pass
-
-
-class InhibitedError(LearningError):
     pass
 
 
@@ -386,8 +388,8 @@ class Learner:
         created = len(self.graph) - before
         return ObserveReport(root, created, lookups - created)
 
-    def _expand(self, root: int) -> dict[Coord, str]:
-        """Cells of `root` in its own frame, expanding each node once and
+    def reconstruct(self, root: int) -> Grid:
+        """The tightest grid of `root`'s cells, expanding each node once and
         stopping at the first node wider or taller than `MAX_DIM`. A node
         that is neither a primitive nor a composite is rejected before the
         walk descends below it, so the error names the node asked for. The
@@ -432,16 +434,11 @@ class Learner:
                 needed[child] -= 1
                 if not needed[child]:
                     del memo[child]
-        return memo[root]
-
-    def reconstruct(self, root: int, sessions: SessionStack | None = None) -> Grid:
-        if sessions is not None and sessions.is_inhibited(root):
-            raise InhibitedError(f"node {root} is inhibited")
-        return Grid.from_cells(self._expand(root))
+        return Grid.from_cells(memo[root])
 
     # recognition
 
-    def recognize(self, g: Grid, sessions: SessionStack | None = None) -> list[RecognitionMatch]:
+    def recognize(self, g: Grid) -> list[RecognitionMatch]:
         """Composites evoked by the features of g, best match first.
 
         Each detected feature instance votes, through its parents, for the
@@ -467,6 +464,10 @@ class Learner:
         equal scores (1/2 and 2/4) are merged, the scores are walked best
         first, and each bucket is sorted on plain `(-scale, concept,
         anchor)` tuples: larger scale first, then lower id.
+
+        Under inhibition, filter this list by `sessions.is_inhibited` on
+        each match's concept; that is the ranked list of the composites
+        left active, since each is scored and ranked on its own.
         """
         detected: dict[int, list[Coord]] = {}  # detected node -> its anchors in g
         for feat in extract_features(g):
@@ -478,7 +479,6 @@ class Learner:
             node_id
             for node_id in set(detected).union(*(self.graph._parents.get(n, ()) for n in detected))
             if nodes[node_id].kind is NodeKind.COMPOSITE
-            and (sessions is None or not sessions.is_inhibited(node_id))
         ]
         table = self._coded_parts
         uncoded = [n for n in voters if n not in table]

@@ -254,6 +254,16 @@ def deadlock_oracle(env: Environment) -> set[State]:
 # -- inhibition oracle -----------------------------------------------------
 
 
+def parents_by_node(graph) -> dict[int, set[int]]:
+    """Each node of `graph` -> the set of its parents, read off the public
+    `children_of` of every node."""
+    parents: dict[int, set[int]] = {n: set() for n in graph.node_ids()}
+    for n in graph.node_ids():
+        for child, _ in graph.children_of(n):
+            parents[child].add(n)
+    return parents
+
+
 def inhibition_closure_oracle(
     parents: dict[int, set[int]],
     mutex: set[tuple[int, int]],

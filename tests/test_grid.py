@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 
 from gridmind import Grid
-from gridmind.grid import GridError
+from gridmind.grid import MAX_DIM, GridError
 
 
 def test_from_text_refuses_a_row_wider_than_the_limit():
@@ -27,6 +27,12 @@ def test_from_text_refuses_an_oversize_text_before_it_builds_cells(text, size):
     finally:
         tracemalloc.stop()
     assert peak < 8_000_000, peak
+
+
+@pytest.mark.parametrize("size", [(0, 1), (1, 0), (MAX_DIM + 1, 1), (1, MAX_DIM + 1)])
+def test_directly_built_grid_of_out_of_range_size_is_refused(size):
+    with pytest.raises(GridError, match=f"grid dimensions out of range: {size[0]}x{size[1]}$"):
+        Grid(*size, {})
 
 
 def test_cell_outside_the_grid_is_refused():

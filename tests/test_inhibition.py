@@ -6,7 +6,7 @@ import pytest
 
 from gridmind import ConceptGraph, SessionStack
 from gridmind.inhibition import ConflictError, StateGraphView, UnderflowError
-from oracles import inhibition_closure_oracle, iterated_elimination
+from oracles import inhibition_closure_oracle, iterated_elimination, parents_by_node
 
 
 def _chain_graph():
@@ -291,7 +291,7 @@ def _propagate_against_closure_oracle(g, s, view=None) -> bool:
     """Propagate once and compare with the oracle; False on a conflict."""
     before = s.inhibited_nodes()
     expected = inhibition_closure_oracle(
-        {n: g.parents_of(n) for n in g.node_ids()},
+        parents_by_node(g),
         g.mutex,
         before,
         s.active_nodes(),
