@@ -309,6 +309,30 @@ def find_transformation(before: Grid, after: Grid) -> Transformation:
 # -- the learner -----------------------------------------------------------
 
 
+# the most canvas cells one `recognize` call counts votes on; a composite
+# `observe` makes has roles within MAX_DIM - 1 of each other on each axis,
+# so its canvas is at most (2 * MAX_DIM - 1) cells on a side
+MAX_RECOGNITION_CELLS = 4 * MAX_DIM * MAX_DIM
+
+
+def _code(parts: tuple) -> tuple:
+    """A composite's sorted, distinct (child, role) parts as `recognize`
+    counts them: `(parts, mx, my, sx, sy, [(child, [role, ...]), ...])`,
+    with `(mx, my)` the largest role on each axis, `(sx, sy)` the spread
+    (the largest role minus the least) and the roles grouped by child,
+    which sorted parts list together."""
+    xs, ys = zip(*[role for _, role in parts])
+    mx, my = max(xs), max(ys)
+    grouped: list[tuple[int, list[Coord]]] = []
+    last = None
+    for child, role in parts:
+        if child != last:
+            last, roles = child, []
+            grouped.append((child, roles))
+        roles.append(role)
+    return len(parts), mx, my, mx - min(xs), my - min(ys), grouped
+
+
 def _ranks(scores: dict) -> dict:
     """Each key -> the rank of its score among the distinct score values,
     best first, so that equal values such as 1/2 and 2/4 share a rank and a
@@ -327,10 +351,9 @@ class Learner:
         # labelled `cell:<symbol>`
         self._labeled: dict[tuple[NodeKind, str], int] = {}
         self._indexed = 0
-        # `recognize`'s row width W, which only grows, and each composite's
-        # parts as (child, dy * W + dx), filled on its first vote
-        self._row_width = 4 * MAX_DIM
-        self._coded_parts: dict[int, tuple[tuple[int, int], ...]] = {}
+        # each composite's code for `recognize` (see `_code`), filled on
+        # its first vote
+        self._codes: dict[int, tuple] = {}
 
     # node helpers
 
@@ -447,18 +470,31 @@ class Learner:
         ties) over its number of parts; a composite detected as a feature
         scores 1 at its top-left-most instance.
 
-        Anchors and roles are coded as ints in rows of width W: an anchor
-        (x, y) as `y * W + x + W // 2`, a role (dx, dy) as `dy * W + dx`, so
-        a vote is one subtraction and the plain `min` over tied votes is
-        the top-left-most anchor. A vote `k` decodes to
-        `(k % W - W // 2, k // W)`, which is exact while every `x - dx` lies
-        in `[-W/2, W/2)`. A probe's x lies in `[0, MAX_DIM)`, so W, which
-        starts at `4 * MAX_DIM`, doubles until `W >= 2 * (|dx| + MAX_DIM)`
-        whenever a composite with a wider role is first coded, and every
-        part coded with the old W is dropped. Each composite's coded parts
-        are kept in a table on the learner, filled on the composite's first
-        vote; a node's children never change, so nothing else invalidates
-        the table.
+        Each composite is coded on its first vote (see `_code`): its number
+        of parts, its largest role `(mx, my)` on each axis, its spreads
+        `sx` and `sy` (the largest role minus the least) and its roles
+        grouped by child. A node's children never change, so nothing
+        invalidates the table of codes on the learner.
+
+        The votes are counted bit-parallel on a canvas W cells wide and H
+        high: the probe's width and height plus the largest `sx` and `sy`
+        among the composites that count votes in this call (a composite
+        detected as a feature counts none). A canvas of more than
+        `MAX_RECOGNITION_CELLS` cells is refused with `BoundsError` before
+        any counting; every composite `observe` makes fits. Each detected
+        node is one int mask, with bit `y * W + x` set for each of its
+        instances at (x, y). A part `(child, (dx, dy))` adds the child's
+        mask, shifted left by `(my - dy) * W + (mx - dx)`, to a binary
+        counter held as bit planes (plane i holds bit i of every cell's
+        count), with ripple carry. So an instance at (x, y) adds one at
+        canvas cell `(x + mx - dx, y + my - dy)`, the vote for the anchor
+        `(x - dx, y - dy)`: the canvas is the anchor plane shifted by
+        `(mx, my)`, so how far a role lies from (0, 0) costs nothing. No
+        vote wraps into the next row, since `x + mx - dx <= x + sx < W`.
+        Walking the planes from the top down, and ANDing in each plane
+        that leaves the mask non-empty, leaves the mask of the most-voted
+        cells and gives their count, `hits`; its lowest set bit is the
+        top-left-most of them, since bits run row by row.
 
         The composites found are bucketed by `(hits, parts)`; buckets with
         equal scores (1/2 and 2/4) are merged, the scores are walked best
@@ -474,47 +510,73 @@ class Learner:
             node_id = self._lookup_feature_node(feat)
             if node_id is not None:
                 detected.setdefault(node_id, []).append(feat.anchor)
-        nodes, children = self.graph.nodes, self.graph._children
+        nodes, children, codes = self.graph.nodes, self.graph._children, self._codes
         voters = [
             node_id
             for node_id in set(detected).union(*(self.graph._parents.get(n, ()) for n in detected))
             if nodes[node_id].kind is NodeKind.COMPOSITE
         ]
-        table = self._coded_parts
-        uncoded = [n for n in voters if n not in table]
-        reach = max((abs(dx) for n in uncoded for _, (dx, _) in children[n]), default=0)
-        while 2 * (reach + MAX_DIM) > self._row_width:
-            self._row_width *= 2
-            table.clear()
-            uncoded = voters
-        w, half = self._row_width, self._row_width // 2
-        for n in uncoded:
-            table[n] = tuple([(child, dy * w + dx) for child, (dx, dy) in children[n]])
-        anchors = {n: [y * w + x + half for x, y in xys] for n, xys in detected.items()}
+        counted = []  # the codes of the voters that count votes
+        for node_id in voters:
+            if node_id not in detected:
+                if node_id not in codes:
+                    codes[node_id] = _code(children[node_id])
+                counted.append(codes[node_id])
+        w = g.width + max((code[3] for code in counted), default=0)
+        h = g.height + max((code[4] for code in counted), default=0)
+        if w * h > MAX_RECOGNITION_CELLS:
+            raise BoundsError(
+                f"recognition needs a canvas of {w}x{h} cells, "
+                f"more than MAX_RECOGNITION_CELLS ({MAX_RECOGNITION_CELLS})"
+            )
+        masks = {}
+        for node_id, xys in detected.items():
+            mask = 0
+            for x, y in xys:
+                mask |= 1 << (y * w + x)
+            masks[node_id] = mask
         buckets: dict[tuple[int, int], list] = {}  # (hits, parts) -> (-scale, concept, anchor)
         for node_id in voters:
-            if node_id in anchors:
-                key, anchor = (1, 1), min(anchors[node_id])
+            if node_id in detected:
+                best, key, x0, y0 = masks[node_id], (1, 1), 0, 0
             else:
-                votes: dict[int, int] = {}
-                count = votes.get
-                parts = table[node_id]
-                for child, d in parts:
-                    for a in anchors.get(child, ()):
-                        a -= d
-                        votes[a] = count(a, 0) + 1
-                hits = max(votes.values())
-                anchor = min(votes if hits == 1 else [a for a, n in votes.items() if n == hits])
-                key = (hits, len(parts))
-            buckets.setdefault(key, []).append((-nodes[node_id].scale, node_id, anchor))
+                parts, x0, y0, sx, sy, groups = codes[node_id]
+                base = y0 * w + x0
+                # bit 0 of every cell's vote count, then bits 1, 2, ...
+                low, planes = 0, []
+                for child, roles in groups:
+                    mask = masks.get(child)
+                    if mask is None:
+                        continue
+                    for dx, dy in roles:
+                        carry = mask << (base - dy * w - dx)
+                        low, carry = low ^ carry, low & carry
+                        if carry:
+                            for i, plane in enumerate(planes):
+                                planes[i] = plane ^ carry
+                                carry &= plane
+                                if not carry:
+                                    break
+                            else:
+                                planes.append(carry)
+                planes.insert(0, low)
+                best, hits = -1, 0  # -1 has every bit set
+                for i in range(len(planes) - 1, -1, -1):
+                    both = best & planes[i]
+                    if both:
+                        best, hits = both, hits | 1 << i
+                key = (hits, parts)
+            y, x = divmod((best & -best).bit_length() - 1, w)
+            buckets.setdefault(key, []).append((-nodes[node_id].scale, node_id, (x - x0, y - y0)))
         by_score: dict[Fraction, list] = {}
         for key, bucket in buckets.items():
             by_score.setdefault(Fraction(*key), []).extend(bucket)
-        matches = []
+        # `tuple.__new__` builds a match without the named tuple's `__new__`
+        matches, new = [], tuple.__new__
         for score in sorted(by_score, reverse=True):
             bucket = by_score[score]
             bucket.sort()
-            matches += [RecognitionMatch(n, (k % w - half, k // w), score) for _, n, k in bucket]
+            matches += [new(RecognitionMatch, (n, anchor, score)) for _, n, anchor in bucket]
         return matches
 
     def match_under_transformations(

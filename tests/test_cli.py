@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridmind import Environment, StateSpace, solve
+from gridmind import ConceptGraph, Environment, StateSpace, solve
 from gridmind.cli import main
 
 RING = "xxx\nx.x\nxxx\n"
@@ -425,6 +425,20 @@ def test_undecodable_file_is_input_error(capsys, tmp_path, argv):
     code, _, err = run(capsys, *(a.format(**paths) for a in argv))
     assert code == 2
     assert err.startswith("error: cannot read ")
+
+
+def test_recognize_past_the_canvas_budget_is_input_error(capsys, tmp_path):
+    kb = ConceptGraph()
+    x = kb.create_primitive("cell:x")
+    kb.create_composite([(x, (0, 0)), (x, (10**6, 10**6))])
+    graph = tmp_path / "far.cg"
+    graph.write_text(kb.export_text())
+    probe = tmp_path / "x.txt"
+    probe.write_text("x\n")
+    code, out, err = run(capsys, "recognize", str(probe), "--graph", str(graph))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "MAX_RECOGNITION_CELLS" in err
+    assert "Traceback" not in err
 
 
 def test_learn_labels_with_quote_and_backslash(capsys, tmp_path):

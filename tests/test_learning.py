@@ -359,6 +359,73 @@ def test_recognize_matches_oracle_for_far_roles():
                     assert [(m.concept, m.anchor, m.score) for m in got] == expected
 
 
+# lattice points two cells apart, so each cell a probe puts on them is a
+# feature of its own
+_LATTICE = [(2 * (i % 4), 2 * (i // 4)) for i in range(17)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 6, 7, 8, 12, 15, 16])
+def test_recognize_counts_votes_across_carries(k):
+    """A composite of k + 1 lattice parts, alternately `x` and `y`, whose
+    best anchors collect k votes each: the first k parts at (10, 0) and the
+    last k at (0, 20); the last k - 1 parts at (20, 20) collect one vote
+    less. The counts around them run from k down, across every carry below
+    k, the tie goes to (10, 0), the upper row, and at k = 6 and 12 a plane
+    below the top one is set for k - 1 but not for k."""
+    g = ConceptGraph()
+    x, y = g.create_primitive("cell:x"), g.create_primitive("cell:y")
+    parts = [((x, y)[i % 2], _LATTICE[i]) for i in range(k + 1)]
+    root = g.create_composite(parts)
+    cells = {}
+    for (ax, ay), placed in (((10, 0), parts[:k]), ((0, 20), parts[1:]), ((20, 20), parts[2:])):
+        for child, (dx, dy) in placed:
+            cells[(ax + dx, ay + dy)] = "x" if child == x else "y"
+    probe = Grid(27, 29, cells)
+    got = [(m.concept, m.anchor, m.score) for m in Learner(g).recognize(probe)]
+    assert got == recognition_oracle(g, probe)
+    assert got == [(root, (10, 0), Fraction(k, k + 1))]
+
+
+@pytest.fixture(scope="module")
+def learned_128():
+    """A learner that has observed one random 128 x 128 grid, the grid and
+    its root."""
+    rng = random.Random(128)
+    cells = {(x, y): rng.choice("ab") for y in range(128) for x in range(128) if rng.random() < 0.4}
+    g = Grid(128, 128, cells)
+    learner = Learner()
+    return learner, g, learner.observe(g).root
+
+
+def test_recognize_a_big_learned_grid_against_itself(learned_128):
+    learner, g, root = learned_128
+    best = learner.recognize(g)[0]
+    assert (best.concept, best.anchor, best.score) == (root, g.anchor(), 1)
+
+
+def test_recognize_refuses_a_canvas_past_its_budget(learned_128, monkeypatch):
+    # every other composite of this graph is a feature of g, so the root is
+    # the one composite that counts votes and sets the canvas
+    learner, g, root = learned_128
+    roles = [role for _, role in learner.graph.children_of(root)]
+    spread_x = max(dx for dx, _ in roles) - min(dx for dx, _ in roles)
+    spread_y = max(dy for _, dy in roles) - min(dy for _, dy in roles)
+    canvas = (g.width + spread_x) * (g.height + spread_y)
+    monkeypatch.setattr("gridmind.learning.MAX_RECOGNITION_CELLS", canvas)
+    assert learner.recognize(g)[0].concept == root
+    monkeypatch.setattr("gridmind.learning.MAX_RECOGNITION_CELLS", canvas - 1)
+    with pytest.raises(BoundsError, match="MAX_RECOGNITION_CELLS"):
+        learner.recognize(g)
+
+
+def test_recognize_refuses_a_composite_spread_past_the_budget():
+    g = ConceptGraph()
+    x = g.create_primitive("cell:x")
+    g.create_composite([(x, (0, 0)), (x, (10**6, 10**6))])
+    with pytest.raises(BoundsError, match="MAX_RECOGNITION_CELLS"):
+        Learner(g).recognize(Grid.from_text("x\n"))
+
+
 def test_recognition_match_equals_only_a_match():
     m = RecognitionMatch(3, (1, 2), Fraction(1, 2))
     same = RecognitionMatch(3, (1, 2), Fraction(2, 4))

@@ -10,8 +10,10 @@ machine speed falls on both sides alike. A run that fails stops the tool
 with its stderr. Each run's metrics are printed as it ends. Then,
 for each end-to-end metric in CHANGE's BENCHMARK.json, one line gives the
 parent's median and quartiles over its runs, the change's median, and in
-how many pairs the change read better (ties count for neither side),
-followed by the failed ops of each side.
+how many pairs the change read better (ties count for neither side).
+One line per op kind that every run printed then gives each side's
+median, over its runs, of that kind's `<kind>_p50_ms` line in run.py's
+output, and the failed ops of each side end the report.
 
 The first line says whether PYTHONDONTWRITEBYTECODE is set: when it is,
 no `__pycache__` is written, so every run compiles the sources it imports
@@ -20,14 +22,19 @@ and `setup_s` includes that compile time. Standard library only; no options.
 
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
+# run.py's line for one op kind: "  <kind>_p50_ms   1.234 ms  n=12   share  21.6%"
+KIND_LINE = re.compile(r"^\s+(\S+)_p50_ms\s+(\S+) ms\s+n=\d+\s+share", re.M)
+
 
 def run(checkout: Path, workload: str, seed: int, seconds: str) -> dict:
-    """The JSON record that the last line of one benchmark run prints."""
+    """The JSON record that the last line of one benchmark run prints, with
+    each op kind's p50 in ms from its human-readable lines under "kinds"."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", seconds, "--trace", "0"],
@@ -35,7 +42,9 @@ def run(checkout: Path, workload: str, seed: int, seconds: str) -> dict:
     )
     if proc.returncode:
         sys.exit(f"{checkout}: perfbench/run.py exited {proc.returncode}\n{proc.stderr}")
-    return json.loads(proc.stdout.splitlines()[-1])
+    record = json.loads(proc.stdout.splitlines()[-1])
+    record["kinds"] = {kind: float(ms) for kind, ms in KIND_LINE.findall(proc.stdout)}
+    return record
 
 
 def main(argv: list[str]) -> int:
@@ -65,6 +74,10 @@ def main(argv: list[str]) -> int:
         q1, _, q3 = statistics.quantiles(before, n=4)
         print(f"  {name:<12} {statistics.median(before):10.4g} [{q1:.4g}, {q3:.4g}]"
               f" -> {statistics.median(after):10.4g}  {wins}/{pairs} {m['unit']}")
+    every_run = records["parent"] + records["change"]
+    for kind in sorted(set.intersection(*(set(r["kinds"]) for r in every_run))):
+        before, after = ([r["kinds"][kind] for r in records[side]] for side in ("parent", "change"))
+        print(f"  {kind + '_p50_ms':<26} {statistics.median(before):10.4g} -> {statistics.median(after):10.4g} ms")
     for side, runs in records.items():
         print(f"  {side} failed ops: {sum(r['failed'] for r in runs)}/{sum(r['attempted'] for r in runs)}")
     return 0
