@@ -28,11 +28,16 @@ and has no whitespace and no double quote, otherwise double-quoted with
 the escapes listed at `_ESCAPES`. `import_text` reads a file in one pass
 and loads only what `create_atom` and `create_composite` could have built,
 so a `C` record whose child id is not below its parent's is a `ParseError`.
+A learned graph places a few parts at a few offsets many times over, so
+within one call import parses each distinct `child dx dy` text of a `C`
+record once and shares the one (child, role) pair among every composite
+that places it, and export formats each distinct pair once.
 """
 
 from __future__ import annotations
 
 import contextlib
+import operator
 import os
 import re
 from dataclasses import dataclass
@@ -85,6 +90,18 @@ class ConceptNode:
 
 def _pair(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
+
+
+def _key(children: list[tuple[int, Role]]) -> tuple[tuple[int, Role], ...]:
+    """The distinct (child, role) pairs of `children` as one sorted tuple, a
+    composite's key. More than 4 pairs already strictly increasing, as an
+    export and a route on a fresh state space list them, are taken as they
+    are; fewer sort about as fast as they are checked."""
+    if len(children) > 4:
+        key = tuple(children)
+        if all(map(operator.lt, key, key[1:])):
+            return key
+    return tuple(sorted(set(children)))
 
 
 class ConceptGraph:
@@ -145,7 +162,7 @@ class ConceptGraph:
     ) -> int:
         if kind not in PARENT_KINDS:
             raise ValueError(f"a {kind.value} node has no children")
-        key = tuple(sorted(set(children)))
+        key = _key(children)
         if len(key) < 2:
             raise ArityError(f"composite needs >= 2 children, got {len(key)}")
         # only known children are ever indexed, so a hit needs no check
@@ -217,7 +234,7 @@ class ConceptGraph:
         return list(self._children.get(n, ()))
 
     def find_composite(self, children: list[tuple[int, Role]]) -> int | None:
-        return self._composite_index.get(tuple(sorted(set(children))))
+        return self._composite_index.get(_key(children))
 
     # -- persistence -------------------------------------------------------
 
@@ -225,8 +242,15 @@ class ConceptGraph:
         lines = ["CGRAPH 1"]
         for n in self.nodes.values():  # in id order
             lines.append(f"N {n.id} {n.kind.value} {n.scale} {_quote(n.label)}")
+        texts: dict[tuple[int, Role], str] = {}  # each distinct pair's `child dx dy`
         for parent, children in self._children.items():  # in id order, children sorted
-            lines += [f"C {parent} {child} {dx} {dy}" for child, (dx, dy) in children]
+            prefix = f"C {parent} "
+            for pair in children:
+                text = texts.get(pair)
+                if text is None:
+                    child, (dx, dy) = pair
+                    text = texts[pair] = f"{child} {dx} {dy}"
+                lines.append(prefix + text)
         for (a, b) in sorted(self.excitatory):
             lines.append(f"E {a} {b} {self.excitatory[(a, b)]}")
         for (a, b) in sorted(self.mutex):
@@ -274,20 +298,28 @@ class ConceptGraph:
             raise ParseError(1, "missing 'CGRAPH 1' header")
         g = cls()
         kinds = {k.value: k for k in NodeKind}
-        links: list[tuple[int, int, int, Role]] = []  # line, parent, child, role
+        links: list[tuple[int, int, tuple[int, Role]]] = []  # line, parent, (child, role)
+        pairs: dict[str, tuple[int, Role]] = {}  # each distinct `child dx dy` text, parsed
         node_lines: list[int] = []  # each node's N line
+        last, parent = "", 0  # the previous C record's parent field, parsed
         for line_no, raw in enumerate(lines[1:], start=2):
             line = raw.strip()
             if not line:
                 continue
-            fields = line.split(None, 4)  # an N record's label is the rest of the line
+            fields = line.split(None, 2)  # a C record as tag, parent, `child dx dy`
             tag = fields[0]
             try:
                 if tag == "C":
-                    _, p, c, dx, dy = fields
-                    links.append((line_no, int(p), int(c), (int(dx), int(dy))))
-                elif tag == "N":
-                    _, sid, kind_name, sscale, quoted = fields
+                    _, p, rest = fields
+                    if p != last:
+                        parent, last = int(p), p
+                    pair = pairs.get(rest)
+                    if pair is None:
+                        c, dx, dy = rest.split()
+                        pair = pairs[rest] = (int(c), (int(dx), int(dy)))
+                    links.append((line_no, parent, pair))
+                elif tag == "N":  # a label is the rest of its line
+                    _, sid, kind_name, sscale, quoted = line.split(None, 4)
                     label = _unquote(quoted)
                     node_id, scale = int(sid), int(sscale)
                     if kind_name not in kinds:
@@ -299,7 +331,7 @@ class ConceptGraph:
                     g._new_node(kinds[kind_name], label, scale)
                     node_lines.append(line_no)
                 elif tag == "E":
-                    _, a, b, w = fields
+                    _, a, b, w = line.split()
                     ia, ib, iw = int(a), int(b), int(w)
                     if ia not in g.nodes or ib not in g.nodes:
                         raise ParseError(line_no, "excitatory link to unknown node")
@@ -311,7 +343,7 @@ class ConceptGraph:
                         raise ParseError(line_no, f"second excitatory link between {ia} and {ib}")
                     g.excitatory[_pair(ia, ib)] = iw
                 elif tag == "M":
-                    _, a, b = fields
+                    _, a, b = line.split()
                     g.add_mutex(int(a), int(b))
                 else:
                     raise ParseError(line_no, f"unknown record tag {tag!r}")
@@ -323,11 +355,12 @@ class ConceptGraph:
                 raise ParseError(line_no, f"malformed record: {exc}") from None
         nodes, count = g.nodes, len(g.nodes)
         grouped: list[list[tuple[int, Role]]] = [[] for _ in nodes]
-        for line_no, parent, child, role in links:
-            if not 0 <= child < parent < count:
+        for line_no, parent, pair in links:
+            if not 0 <= pair[0] < parent < count:
+                child = pair[0]
                 rule = "unknown node" if child < parent else "child id not below parent id"
                 raise ParseError(line_no, f"composition link {parent}->{child}: {rule}")
-            grouped[parent].append((child, role))
+            grouped[parent].append(pair)
         scales = [node.scale for node in nodes.values()]
         for node_id, entries in enumerate(grouped):  # in id order, children first
             node = nodes[node_id]
@@ -335,7 +368,7 @@ class ConceptGraph:
                 if not entries:
                     continue  # an atom, as create_atom makes
                 problem = f"has children, but a {node.kind.value} node has none"
-            elif len(key := tuple(sorted(set(entries)))) < 2:
+            elif len(key := _key(entries)) < 2:
                 problem = f"needs 2 or more children, has {len(key)}"
             elif key in g._composite_index:
                 problem = f"has the same children as node {g._composite_index[key]}"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridmind import ConceptGraph, NodeKind, SessionStack
+from gridmind import ConceptGraph, Grid, Learner, NodeKind, SessionStack
 from gridmind.cli import main
 from gridmind.graph import ArityError, ParseError, SelfMutexError, UnknownNodeError
 from oracles import inhibition_closure_oracle, legacy_quote, links_on_cycles, parents_by_node
@@ -42,6 +42,26 @@ def test_composite_reuse_same_id():
     c2 = g.create_composite(list(reversed(children)))
     assert c1 == c2
     assert len(g) == before
+
+
+@pytest.mark.parametrize(
+    "listing",
+    [[0, 1, 2], [0, 1, 2, 3, 4], [0, 0, 1, 2, 3, 4], [0, 1, 2, 3, 4, 4], [0, 1, 2, 2, 3, 4],
+     [2, 0, 1], [4, 3, 2, 1, 0], [0, 1, 2, 4, 3], [1, 2, 1, 0, 4, 3, 4]],
+    ids=["short-sorted", "sorted", "sorted-repeat-first", "sorted-repeat-last",
+         "sorted-repeat-inside", "short-unsorted", "reversed", "unsorted-last", "unsorted-repeat"],
+)
+def test_composite_key_ignores_order_and_repeats(listing):
+    g = ConceptGraph()
+    a, b = g.create_primitive("a"), g.create_primitive("b")
+    pairs = [(a, (0, 0)), (a, (1, 0)), (a, (2, 0)), (b, (0, 1)), (b, (1, 1))]
+    distinct = sorted({pairs[i] for i in listing})
+    node = g.create_composite(distinct)
+    placed = [pairs[i] for i in listing]
+    assert g.create_composite(placed) == g.find_composite(placed) == node
+    assert g.children_of(node) == distinct
+    with pytest.raises(ArityError):
+        g.create_composite([pairs[0], pairs[0]])
 
 
 def test_composite_scale_counts_each_placement():
@@ -252,6 +272,78 @@ _REPEATS_THAT_LOAD = {
 def test_import_loads_a_repeated_set_member_once(records, exported):
     g = ConceptGraph.import_text(f"CGRAPH 1\n{records}\n")
     assert g.export_text() == f"CGRAPH 1\n{exported}\n"
+
+
+# Composition records whose fields do not parse, each on line 5 after one
+# good record of the same parent, and the refusal each must get. A `C`
+# record is a tag, then parent, child, dx and dy.
+_MALFORMED_LINKS = {
+    "bare-tag": ("C", "malformed record"),
+    "two-fields": ("C 1", "malformed record"),
+    "four-fields": ("C 1 0 1", "malformed record"),
+    "six-fields": ("C 1 0 1 0 0", "malformed record"),
+    "non-integer-parent": ("C one 0 0 0", "malformed record"),
+    "non-integer-child": ("C 1 zero 1 0", "malformed record"),
+    "non-integer-dx": ("C 1 0 1.0 0", "malformed record"),
+    "non-integer-dy": ("C 1 0 1 y", "malformed record"),
+    "longer-tag": ("Cx 1 0 1 0", "unknown record tag 'Cx'"),
+}
+
+
+@pytest.mark.parametrize(
+    "record, refusal", list(_MALFORMED_LINKS.values()), ids=list(_MALFORMED_LINKS)
+)
+def test_malformed_composition_record_is_refused_at_its_line(record, refusal):
+    text = f'CGRAPH 1\nN 0 Primitive 1 cell:x\nN 1 Composite 2 ""\nC 1 0 0 0\n{record}\nC 1 0 1 0\n'
+    with pytest.raises(ParseError) as exc:
+        ConceptGraph.import_text(text)
+    assert exc.value.line_no == 5
+    assert str(exc.value).startswith(f"line 5: {refusal}")
+
+
+@pytest.mark.parametrize("text", ["", "\n", "CGRAPH 2\n", "N 0 Primitive 1 a\n"],
+                         ids=["empty", "blank", "other-version", "no-header"])
+def test_text_without_the_header_is_refused_at_line_1(text):
+    with pytest.raises(ParseError, match=r"^line 1: missing 'CGRAPH 1' header$"):
+        ConceptGraph.import_text(text)
+
+
+# Composition records spelled other than an export spells them, which load
+# as the export's own records: fields split at any run of whitespace, and an
+# integer may carry a sign, so `+0` and `0` name one role.
+_SPELLINGS_THAT_LOAD = {
+    "tab-separated": "C 1 0 0 0\nC\t1\t0\t1\t0",
+    "doubled-spaces": "C  1  0 0  0\nC 1 0  1  0",
+    "signed-zero": "C 1 0 0 0\nC 1 0 +0 0\nC 1 0 1 0",
+    "signed-parent": "C 1 0 0 0\nC +1 0 1 0",
+}
+
+
+@pytest.mark.parametrize("records", list(_SPELLINGS_THAT_LOAD.values()), ids=list(_SPELLINGS_THAT_LOAD))
+def test_composition_records_load_however_spelled(records):
+    nodes = 'N 0 Primitive 1 cell:x\nN 1 Composite 2 ""'
+    g = ConceptGraph.import_text(f"CGRAPH 1\n{nodes}\n{records}\n")
+    assert g.children_of(1) == [(0, (0, 0)), (0, (1, 0))]
+    assert g.export_text() == f"CGRAPH 1\n{nodes}\nC 1 0 0 0\nC 1 0 1 0\n"
+
+
+def test_import_shares_one_pair_per_distinct_link():
+    """A learned KB places a few parts at a few offsets many times over;
+    its import holds one (child, role) object per distinct value, and
+    export -> import -> export is byte-identical."""
+    rng = random.Random(43)
+    learner = Learner()
+    for _ in range(60):
+        w, h = rng.randint(2, 6), rng.randint(2, 6)
+        cells = {(x, y): rng.choice("ab") for x in range(w) for y in range(h) if rng.random() < 0.4}
+        if cells:
+            learner.observe(Grid(w, h, cells))
+    text = learner.graph.export_text()
+    g = ConceptGraph.import_text(text)
+    placed = [pair for n in g.node_ids() for pair in g._children.get(n, ())]
+    assert len(placed) > 2 * len(set(placed))
+    assert len({id(pair) for pair in placed}) == len(set(placed))
+    assert g.export_text() == text
 
 
 def test_create_atom_refuses_composite_kinds():
