@@ -34,7 +34,6 @@ graph.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .graph import ConceptGraph
@@ -133,7 +132,7 @@ class SessionStack:
         """
         g = self.graph
         inhibited, active, layer = self._inhibited, self._active, self._layers[-1]
-        queue = deque(sorted(inhibited | active))
+        queue = sorted(inhibited | active)
         derived: set[int] = set()
         # per node, how many of its parents (B) or successors (C) are not
         # yet expanded; a node is derived when its count reaches 0
@@ -158,8 +157,7 @@ class SessionStack:
                 elif s not in inhibited:
                     derive(s)
 
-        while queue:
-            n = queue.popleft()
+        for n in queue:  # the list is the queue
             if n in active:
                 for partner in g._mutex.get(n, ()):
                     if partner in active:

@@ -120,7 +120,7 @@ def explain_features(
                 continue
             sessions.begin_session()
             try:
-                for n in [cand, *sorted(feats)]:
+                for n in (cand, *feats):
                     sessions.set_active(n)
                 sessions.propagate()
             except ConflictError:

@@ -93,10 +93,10 @@ class ObserveReport:
     nodes_reused: int
 
 
-def _normalize(cells: set[Coord]) -> tuple[frozenset[Coord], Coord]:
-    """Shift cells so the top-left-most one lands on (0, 0)."""
-    ay, ax = min((y, x) for x, y in cells)
-    return frozenset((x - ax, y - ay) for x, y in cells), (ax, ay)
+# the four 4-neighbour steps, and the one-cell shape of a single or a
+# primitive feature
+_SIDES = ((0, -1), (1, 0), (0, 1), (-1, 0))
+_ONE_CELL = frozenset([(0, 0)])
 
 
 def extract_features(g: Grid) -> list[FeatureInstance]:
@@ -106,55 +106,55 @@ def extract_features(g: Grid) -> list[FeatureInstance]:
     carved into maximal horizontal and vertical runs of length >= 2; cells
     in no run become single-cell features; interior cells form fill-region
     features per connected component. Every occupied cell is covered.
+
+    The features come in the order of their anchor `(y, x)`, then symbol,
+    then sorted offsets. Each is anchored at its top-left-most cell and
+    emitted when one pass over the cells in row-major order reaches that
+    cell, so no feature is sorted. For each direction, vertical then
+    horizontal, a boundary cell with a same-symbol boundary cell just
+    before it (above, or to the left) lies inside an earlier run, and one
+    with such a cell just after it starts a run; a boundary cell in no run
+    is a single. Only a vertical and a horizontal run can share an anchor,
+    and the vertical one, emitted first, sorts first (`(0, 1) < (1, 0)`).
+    A fill region's first cell in the pass is its top-left-most.
     """
+    cells = g.cells
+    edge = {
+        (x, y): s
+        for (x, y), s in cells.items()
+        if any(cells.get((x + dx, y + dy)) != s for dx, dy in _SIDES)
+    }
     features: list[FeatureInstance] = []
-    by_symbol: dict[str, set[Coord]] = {}
-    for pos, sym in g.cells.items():
-        by_symbol.setdefault(sym, set()).add(pos)
-    for sym in sorted(by_symbol):
-        cells = by_symbol[sym]
-        boundary = {
-            (x, y)
-            for x, y in cells
-            if any(
-                (x + dx, y + dy) not in cells
-                for dx, dy in ((0, -1), (1, 0), (0, 1), (-1, 0))
-            )
-        }
-        interior = cells - boundary
-        ordered = sorted(boundary, key=lambda p: (p[1], p[0]))
-        covered: set[Coord] = set()
-        for dx, dy in ((1, 0), (0, 1)):
-            for x, y in ordered:
-                if (x - dx, y - dy) in boundary:
-                    continue
-                n = 1
-                while (x + n * dx, y + n * dy) in boundary:
-                    n += 1
-                if n >= 2:
-                    run = [(i * dx, i * dy) for i in range(n)]
-                    features.append(FeatureInstance(sym, frozenset(run), (x, y)))
-                    covered.update((x + rx, y + ry) for rx, ry in run)
-        for x, y in ordered:
-            if (x, y) not in covered:
-                features.append(FeatureInstance(sym, frozenset([(0, 0)]), (x, y)))
-        seen: set[Coord] = set()
-        for start in sorted(interior, key=lambda p: (p[1], p[0])):
-            if start in seen:
-                continue
-            comp = {start}
-            stack = [start]
+    filled: set[Coord] = set()
+    for y, x, s in sorted([(y, x, s) for (x, y), s in cells.items()]):
+        if (x, y) in edge:
+            single = True
+            for dx, dy in ((0, 1), (1, 0)):
+                if edge.get((x - dx, y - dy)) == s:
+                    single = False
+                elif edge.get((x + dx, y + dy)) == s:
+                    n = 2
+                    while edge.get((x + n * dx, y + n * dy)) == s:
+                        n += 1
+                    run = frozenset([(i * dx, i * dy) for i in range(n)])
+                    features.append(FeatureInstance(s, run, (x, y)))
+                    single = False
+            if single:
+                features.append(FeatureInstance(s, _ONE_CELL, (x, y)))
+        elif (x, y) not in filled:
+            # every neighbour of an interior cell holds its symbol, so the
+            # region grows through the neighbours that are not boundary
+            filled.add((x, y))
+            region, stack = [], [(x, y)]
             while stack:
                 cx, cy = stack.pop()
-                for dx, dy in ((0, -1), (1, 0), (0, 1), (-1, 0)):
+                region.append((cx - x, cy - y))
+                for dx, dy in _SIDES:
                     nb = (cx + dx, cy + dy)
-                    if nb in interior and nb not in comp:
-                        comp.add(nb)
+                    if nb not in edge and nb not in filled:
+                        filled.add(nb)
                         stack.append(nb)
-            seen |= comp
-            offsets, anchor = _normalize(comp)
-            features.append(FeatureInstance(sym, offsets, anchor))
-    features.sort(key=lambda f: (f.anchor[1], f.anchor[0], f.symbol, sorted(f.offsets)))
+            features.append(FeatureInstance(s, frozenset(region), (x, y)))
     return features
 
 
@@ -333,14 +333,6 @@ def _code(parts: tuple) -> tuple:
     return len(parts), mx, my, mx - min(xs), my - min(ys), grouped
 
 
-def _ranks(scores: dict) -> dict:
-    """Each key -> the rank of its score among the distinct score values,
-    best first, so that equal values such as 1/2 and 2/4 share a rank and a
-    sort on ranks compares integers, not Fractions."""
-    order = {s: i for i, s in enumerate(sorted(set(scores.values()), reverse=True))}
-    return {key: order[s] for key, s in scores.items()}
-
-
 class Learner:
     """Owns the bottom-up/top-down learning loops over a concept graph."""
 
@@ -359,7 +351,7 @@ class Learner:
 
     def _feature_node(self, feat: FeatureInstance) -> int:
         prim = self.labeled_node(PRIMITIVE_PREFIX + feat.symbol)
-        if feat.offsets == frozenset([(0, 0)]):
+        if feat.offsets == _ONE_CELL:
             return prim
         return self.graph.create_composite([(prim, off) for off in feat.offsets])
 
@@ -379,7 +371,7 @@ class Learner:
         prim = self._label_index().get((NodeKind.PRIMITIVE, PRIMITIVE_PREFIX + feat.symbol))
         if prim is None:
             return None
-        if feat.offsets == frozenset([(0, 0)]):
+        if feat.offsets == _ONE_CELL:
             return prim
         return self.graph.find_composite([(prim, off) for off in feat.offsets])
 
@@ -612,7 +604,10 @@ class Learner:
         def ratio(entry):
             return entry[0].score.numerator, entry[0].score.denominator
 
-        rank = _ranks({ratio(e): e[0].score for e in results})
+        # a Fraction is in lowest terms, so equal scores (1/2 and 2/4) share
+        # a ratio, and the sort below compares integer ranks, not Fractions
+        scores = {ratio(e): e[0].score for e in results}
+        rank = {r: i for i, r in enumerate(sorted(scores, key=scores.get, reverse=True))}
         nodes = self.graph.nodes
         results.sort(key=lambda e: (rank[ratio(e)], -nodes[e[0].concept].scale, e[0].concept))
         return results

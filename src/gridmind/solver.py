@@ -147,11 +147,11 @@ class Solution:
 
     @property
     def moves(self) -> list[str]:
-        out = []
-        for a, b in zip(self.path, self.path[1:]):
-            delta = (b.agent[0] - a.agent[0], b.agent[1] - a.agent[1])
-            out.append(next(name for name, d in DIRECTIONS if d == delta))
-        return out
+        name = {d: n for n, d in DIRECTIONS}
+        return [
+            name[(b.agent[0] - a.agent[0], b.agent[1] - a.agent[1])]
+            for a, b in zip(self.path, self.path[1:])
+        ]
 
 
 @dataclass(frozen=True)
@@ -434,10 +434,11 @@ def prune_deadlocks(space: StateSpace, sessions: SessionStack) -> set[State]:
     fixpoint closed over cycles, which inhibits e.g. every state with the
     box in a non-target corner) and, for mazes, iterated cul-de-sac cells.
     Both are found on the full build's successor lists. In a push puzzle
-    the first is `_search` from the goal over the reversed lists. In a maze every move can be undone, so either every reachable
-    state reaches the goal or none does, and no reversed lists are built;
-    the cul-de-sac cells are found by filling dead ends on the lists of the
-    reachable states.
+    the first is `_search` from the goal over the reversed lists. In a
+    maze every move can be undone, so either every reachable state reaches
+    the goal or none does, and no reversed lists are built; the cul-de-sac
+    cells are found by filling dead ends on the lists of the reachable
+    states.
 
     If a dead state is Active in `sessions`, raises `ConflictError` before
     inhibiting any, so `sessions` is left unchanged.

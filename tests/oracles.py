@@ -306,6 +306,70 @@ def inhibition_closure_oracle(
     return closed
 
 
+# -- feature oracle --------------------------------------------------------
+
+
+def features_oracle(g: Grid) -> list[tuple]:
+    """(symbol, offsets, anchor) for every feature of g, sorted by
+    (anchor y, anchor x, symbol, sorted offsets).
+
+    A boundary cell has a 4-neighbour that does not hold its symbol. A run
+    is a maximal straight segment of 2 or more same-symbol boundary cells,
+    found by trying every boundary cell as a start in both directions and
+    keeping the segments that cannot be extended at either end. A boundary
+    cell on no run is a single. The interior cells of each symbol form one
+    fill region per 4-connected component. Each feature is anchored at its
+    smallest (y, x) cell, its offsets relative to that cell.
+    """
+    cells = g.cells
+    sides = [(0, -1), (1, 0), (0, 1), (-1, 0)]
+
+    def is_boundary(pos) -> bool:
+        return pos in cells and any(
+            cells.get((pos[0] + dx, pos[1] + dy)) != cells[pos] for dx, dy in sides
+        )
+
+    def same_boundary(pos, sym) -> bool:
+        return cells.get(pos) == sym and is_boundary(pos)
+
+    out = []
+    on_run = set()
+    for (x, y), sym in cells.items():
+        if not is_boundary((x, y)):
+            continue
+        for dx, dy in [(1, 0), (0, 1)]:
+            if same_boundary((x - dx, y - dy), sym):
+                continue  # not the start of a maximal segment
+            segment = [(x, y)]
+            while same_boundary((x + len(segment) * dx, y + len(segment) * dy), sym):
+                segment.append((x + len(segment) * dx, y + len(segment) * dy))
+            if len(segment) >= 2:
+                on_run.update(segment)
+                out.append((sym, segment))
+    for pos, sym in cells.items():
+        if is_boundary(pos) and pos not in on_run:
+            out.append((sym, [pos]))
+    interior = {pos for pos in cells if not is_boundary(pos)}
+    while interior:
+        start = interior.pop()
+        region, queue = [start], deque([start])
+        while queue:
+            x, y = queue.popleft()
+            for dx, dy in sides:
+                nb = (x + dx, y + dy)
+                if nb in interior and cells[nb] == cells[start]:
+                    interior.remove(nb)
+                    region.append(nb)
+                    queue.append(nb)
+        out.append((cells[start], region))
+    features = []
+    for sym, group in out:
+        ay, ax = min((y, x) for x, y in group)
+        features.append((sym, frozenset((x - ax, y - ay) for x, y in group), (ax, ay)))
+    features.sort(key=lambda f: (f[2][1], f[2][0], f[0], sorted(f[1])))
+    return features
+
+
 # -- recognition oracle ----------------------------------------------------
 
 

@@ -28,7 +28,7 @@ from gridmind.learning import (
     find_transformation,
     transformation_candidates,
 )
-from oracles import random_grid, recognition_oracle
+from oracles import features_oracle, random_grid, recognition_oracle
 
 RING = "xxx\nx.x\nxxx\n"
 
@@ -54,6 +54,49 @@ def test_extract_solid_block_has_interior():
     for f in feats:
         covered |= {(f.anchor[0] + dx, f.anchor[1] + dy) for dx, dy in f.offsets}
     assert covered == {(x, y) for x in range(3) for y in range(3)}
+
+
+def _features(g):
+    return [(f.symbol, f.offsets, f.anchor) for f in extract_features(g)]
+
+
+def test_extract_features_matches_oracle_random():
+    rng = random.Random(29)
+    for _ in range(2000):
+        w, h = rng.randint(1, 16), rng.randint(1, 16)
+        syms = "abcde"[: rng.randint(1, 5)]
+        density = rng.random()
+        cells = {
+            (x, y): rng.choice(syms)
+            for y in range(h)
+            for x in range(w)
+            if rng.random() < density
+        }
+        g = Grid(w, h, cells)
+        assert _features(g) == features_oracle(g), g.to_text()
+
+
+def test_extract_features_matches_oracle_at_128():
+    # painted rectangles give long runs and large fill regions; the noise
+    # on top gives singles and short runs
+    rng = random.Random(128)
+    cells = {}
+    for _ in range(60):
+        x0, y0 = rng.randrange(128), rng.randrange(128)
+        w, h, sym = rng.randint(1, 40), rng.randint(1, 40), rng.choice("abc")
+        for y in range(y0, min(y0 + h, 128)):
+            for x in range(x0, min(x0 + w, 128)):
+                cells[(x, y)] = sym
+    for _ in range(2000):
+        pos = (rng.randrange(128), rng.randrange(128))
+        if rng.random() < 0.5:
+            cells.pop(pos, None)
+        else:
+            cells[pos] = rng.choice("abcd")
+    g = Grid(128, 128, cells)
+    feats = _features(g)
+    assert feats == features_oracle(g)
+    assert {len(offsets) for _, offsets, _ in feats} > {1, 2, 3}  # fills and runs
 
 
 def test_observe_single_cell():
