@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from .graph import ConceptGraph, NodeKind
 from .grid import Grid
 from .inhibition import ConflictError, SessionStack
-from .learning import Learner, extract_features
+from .learning import Learner
 
 
 @dataclass(frozen=True)
@@ -162,10 +162,10 @@ def explain_features(
 
 def explain(learner: Learner, g: Grid) -> list[Explanation]:
     """Explain a grid: detect its features, then cover them with composites."""
-    nodes = [learner._lookup_feature_node(f) for f in extract_features(g)]
-    result = explain_features(learner.graph, {n for n in nodes if n is not None})
+    detected = learner._detect(g)
+    result = explain_features(learner.graph, detected.keys() - {None})
     # features with no node at all are novelty the search cannot see
-    if None in nodes and not any(e.novel for e in result):
+    if None in detected and not any(e.novel for e in result):
         result.append(
             Explanation(frozenset(), frozenset(), frozenset(), frozenset(), novel=True)
         )

@@ -316,21 +316,13 @@ MAX_RECOGNITION_CELLS = 4 * MAX_DIM * MAX_DIM
 
 
 def _code(parts: tuple) -> tuple:
-    """A composite's sorted, distinct (child, role) parts as `recognize`
-    counts them: `(parts, mx, my, sx, sy, [(child, [role, ...]), ...])`,
-    with `(mx, my)` the largest role on each axis, `(sx, sy)` the spread
-    (the largest role minus the least) and the roles grouped by child,
-    which sorted parts list together."""
+    """A voter's sorted, distinct (child, role) parts as `recognize`
+    counts them: `(len(parts), mx, my, sx, sy, parts)`, with `(mx, my)` the
+    largest role on each axis and `(sx, sy)` the spread (the largest role
+    minus the least). `parts` is the graph's own tuple, not a copy."""
     xs, ys = zip(*[role for _, role in parts])
     mx, my = max(xs), max(ys)
-    grouped: list[tuple[int, list[Coord]]] = []
-    last = None
-    for child, role in parts:
-        if child != last:
-            last, roles = child, []
-            grouped.append((child, roles))
-        roles.append(role)
-    return len(parts), mx, my, mx - min(xs), my - min(ys), grouped
+    return len(parts), mx, my, mx - min(xs), my - min(ys), parts
 
 
 class Learner:
@@ -343,8 +335,8 @@ class Learner:
         # labelled `cell:<symbol>`
         self._labeled: dict[tuple[NodeKind, str], int] = {}
         self._indexed = 0
-        # each composite's code for `recognize` (see `_code`), filled on
-        # its first vote
+        # each composite's code for `recognize` (see `_code`) over its
+        # children, filled the first time it votes through them
         self._codes: dict[int, tuple] = {}
 
     # node helpers
@@ -367,13 +359,18 @@ class Learner:
         self._indexed = len(nodes)
         return labeled
 
-    def _lookup_feature_node(self, feat: FeatureInstance) -> int | None:
-        prim = self._label_index().get((NodeKind.PRIMITIVE, PRIMITIVE_PREFIX + feat.symbol))
-        if prim is None:
-            return None
-        if feat.offsets == _ONE_CELL:
-            return prim
-        return self.graph.find_composite([(prim, off) for off in feat.offsets])
+    def _detect(self, g: Grid) -> dict[int | None, list[Coord]]:
+        """The anchors in g of each node that is one of g's features, in
+        `extract_features` order, with those of the features no node
+        stands for under `None`."""
+        labeled, find = self._label_index(), self.graph.find_composite
+        detected: dict[int | None, list[Coord]] = {}
+        for feat in extract_features(g):
+            node_id = labeled.get((NodeKind.PRIMITIVE, PRIMITIVE_PREFIX + feat.symbol))
+            if node_id is not None and feat.offsets != _ONE_CELL:
+                node_id = find([(node_id, off) for off in feat.offsets])
+            detected.setdefault(node_id, []).append(feat.anchor)
+        return detected
 
     def labeled_node(self, label: str, kind: NodeKind = NodeKind.PRIMITIVE) -> int:
         node_id = self._label_index().get((kind, label))
@@ -459,34 +456,36 @@ class Learner:
         Each detected feature instance votes, through its parents, for the
         anchor at which each placement of it would put the parent. A
         composite scores its most-voted anchor (the top-left-most among
-        ties) over its number of parts; a composite detected as a feature
-        scores 1 at its top-left-most instance.
+        ties) over its number of parts.
 
-        Each composite is coded on its first vote (see `_code`): its number
-        of parts, its largest role `(mx, my)` on each axis, its spreads
-        `sx` and `sy` (the largest role minus the least) and its roles
-        grouped by child. A node's children never change, so nothing
-        invalidates the table of codes on the learner.
+        Each voter is coded by its parts (see `_code`): their number, the
+        largest role `(mx, my)` on each axis, the spreads `sx` and `sy`
+        (the largest role minus the least) and the sorted parts
+        themselves. A composite detected as a feature votes through one
+        part, itself at (0, 0), so it scores 1 at its top-left-most
+        instance. Any other composite votes through its children, the
+        graph's own sorted tuple, and that code is kept on the learner: a
+        node's children never change, so nothing invalidates it.
 
         The votes are counted bit-parallel on a canvas W cells wide and H
         high: the probe's width and height plus the largest `sx` and `sy`
-        among the composites that count votes in this call (a composite
-        detected as a feature counts none). A canvas of more than
-        `MAX_RECOGNITION_CELLS` cells is refused with `BoundsError` before
-        any counting; every composite `observe` makes fits. Each detected
-        node is one int mask, with bit `y * W + x` set for each of its
-        instances at (x, y). A part `(child, (dx, dy))` adds the child's
-        mask, shifted left by `(my - dy) * W + (mx - dx)`, to a binary
-        counter held as bit planes (plane i holds bit i of every cell's
-        count), with ripple carry. So an instance at (x, y) adds one at
-        canvas cell `(x + mx - dx, y + my - dy)`, the vote for the anchor
-        `(x - dx, y - dy)`: the canvas is the anchor plane shifted by
-        `(mx, my)`, so how far a role lies from (0, 0) costs nothing. No
-        vote wraps into the next row, since `x + mx - dx <= x + sx < W`.
-        Walking the planes from the top down, and ANDing in each plane
-        that leaves the mask non-empty, leaves the mask of the most-voted
-        cells and gives their count, `hits`; its lowest set bit is the
-        top-left-most of them, since bits run row by row.
+        among the voters in this call (a detected composite's are 0). A
+        canvas of more than `MAX_RECOGNITION_CELLS` cells is refused with
+        `BoundsError` before any counting; every composite `observe` makes
+        fits. Each detected node is one int mask, with bit `y * W + x` set
+        for each of its instances at (x, y). A part `(child, (dx, dy))`
+        adds the child's mask, shifted left by `(my - dy) * W + (mx - dx)`,
+        to a binary counter held as bit planes (plane i holds bit i of
+        every cell's count), with ripple carry. So an instance at (x, y)
+        adds one at canvas cell `(x + mx - dx, y + my - dy)`, the vote for
+        the anchor `(x - dx, y - dy)`: the canvas is the anchor plane
+        shifted by `(mx, my)`, so how far a role lies from (0, 0) costs
+        nothing. No vote wraps into the next row, since
+        `x + mx - dx <= x + sx < W`. Walking the planes from the top down,
+        and ANDing in each plane that leaves the mask non-empty, leaves the
+        mask of the most-voted cells and gives their count, `hits`; its
+        lowest set bit is the top-left-most of them, since bits run row by
+        row.
 
         The composites found are bucketed by `(hits, parts)`; buckets with
         equal scores (1/2 and 2/4) are merged, the scores are walked best
@@ -497,25 +496,22 @@ class Learner:
         each match's concept; that is the ranked list of the composites
         left active, since each is scored and ranked on its own.
         """
-        detected: dict[int, list[Coord]] = {}  # detected node -> its anchors in g
-        for feat in extract_features(g):
-            node_id = self._lookup_feature_node(feat)
-            if node_id is not None:
-                detected.setdefault(node_id, []).append(feat.anchor)
+        detected = self._detect(g)  # detected node -> its anchors in g
+        detected.pop(None, None)
         nodes, children, codes = self.graph.nodes, self.graph._children, self._codes
-        voters = [
-            node_id
-            for node_id in set(detected).union(*(self.graph._parents.get(n, ()) for n in detected))
-            if nodes[node_id].kind is NodeKind.COMPOSITE
-        ]
-        counted = []  # the codes of the voters that count votes
-        for node_id in voters:
-            if node_id not in detected:
-                if node_id not in codes:
-                    codes[node_id] = _code(children[node_id])
-                counted.append(codes[node_id])
-        w = g.width + max((code[3] for code in counted), default=0)
-        h = g.height + max((code[4] for code in counted), default=0)
+        voters = []  # (composite, its code)
+        for node_id in set(detected).union(*(self.graph._parents.get(n, ()) for n in detected)):
+            if nodes[node_id].kind is not NodeKind.COMPOSITE:
+                continue
+            if node_id in detected:
+                code = _code(((node_id, (0, 0)),))
+            elif node_id in codes:
+                code = codes[node_id]
+            else:
+                code = codes[node_id] = _code(children[node_id])
+            voters.append((node_id, code))
+        w = g.width + max((code[3] for _, code in voters), default=0)
+        h = g.height + max((code[4] for _, code in voters), default=0)
         if w * h > MAX_RECOGNITION_CELLS:
             raise BoundsError(
                 f"recognition needs a canvas of {w}x{h} cells, "
@@ -528,38 +524,32 @@ class Learner:
                 mask |= 1 << (y * w + x)
             masks[node_id] = mask
         buckets: dict[tuple[int, int], list] = {}  # (hits, parts) -> (-scale, concept, anchor)
-        for node_id in voters:
-            if node_id in detected:
-                best, key, x0, y0 = masks[node_id], (1, 1), 0, 0
-            else:
-                parts, x0, y0, sx, sy, groups = codes[node_id]
-                base = y0 * w + x0
-                # bit 0 of every cell's vote count, then bits 1, 2, ...
-                low, planes = 0, []
-                for child, roles in groups:
-                    mask = masks.get(child)
-                    if mask is None:
-                        continue
-                    for dx, dy in roles:
-                        carry = mask << (base - dy * w - dx)
-                        low, carry = low ^ carry, low & carry
-                        if carry:
-                            for i, plane in enumerate(planes):
-                                planes[i] = plane ^ carry
-                                carry &= plane
-                                if not carry:
-                                    break
-                            else:
-                                planes.append(carry)
-                planes.insert(0, low)
-                best, hits = -1, 0  # -1 has every bit set
-                for i in range(len(planes) - 1, -1, -1):
-                    both = best & planes[i]
-                    if both:
-                        best, hits = both, hits | 1 << i
-                key = (hits, parts)
+        for node_id, (parts, x0, y0, _, _, links) in voters:
+            base = y0 * w + x0
+            # bit 0 of every cell's vote count, then bits 1, 2, ...
+            low, planes = 0, []
+            for child, (dx, dy) in links:
+                mask = masks.get(child)
+                if mask is None:
+                    continue
+                carry = mask << (base - dy * w - dx)
+                low, carry = low ^ carry, low & carry
+                if carry:
+                    for i, plane in enumerate(planes):
+                        planes[i] = plane ^ carry
+                        carry &= plane
+                        if not carry:
+                            break
+                    else:
+                        planes.append(carry)
+            planes.insert(0, low)
+            best, hits = -1, 0  # -1 has every bit set
+            for i in range(len(planes) - 1, -1, -1):
+                both = best & planes[i]
+                if both:
+                    best, hits = both, hits | 1 << i
             y, x = divmod((best & -best).bit_length() - 1, w)
-            buckets.setdefault(key, []).append((-nodes[node_id].scale, node_id, (x - x0, y - y0)))
+            buckets.setdefault((hits, parts), []).append((-nodes[node_id].scale, node_id, (x - x0, y - y0)))
         by_score: dict[Fraction, list] = {}
         for key, bucket in buckets.items():
             by_score.setdefault(Fraction(*key), []).extend(bucket)

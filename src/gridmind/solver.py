@@ -45,6 +45,7 @@ returns are its whole record; the CLI writes its run log from them.
 from __future__ import annotations
 
 import heapq
+import sys
 from collections.abc import Callable, Container, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -67,9 +68,10 @@ _FREE_TABLE = bytes.maketrans(WALL.encode(), b"\0")  # a wall's byte to 0, the r
 MAX_STATES = MAX_DIM * MAX_DIM
 
 # Most states Yen's spur searches may reach in one enumeration, summed over
-# the searches. Listing every route of a 5 x 5 open room (about 287,000)
-# fits, and so do the first 3 routes of a 64 x 64 open room; a 6 x 6 room
-# has too many routes to list and meets the budget in about 2 s.
+# the searches. Listing every route of a 5 x 5 open room fits: its 8,512
+# routes take spur searches that reach 287,159 states in all. So do the
+# first 3 routes of a 64 x 64 open room; a 6 x 6 room has too many routes
+# to list and meets the budget in about 2 s.
 MAX_SPUR_STATES = 16 * MAX_STATES
 
 
@@ -347,13 +349,10 @@ class StateSpace:
         else:
             per_agent, table = self._per_agent, self._moves
             agent, box = divmod(state, per_agent)
-            moves = table[agent]
-            if moves is None:
-                moves = table[agent] = self._row(agent)
+            # a row is a 4-tuple, never falsy
+            moves = table[agent] or self._moves_of(agent)
             if box in moves:  # the agent stands beside the box
-                beyond = table[box]
-                if beyond is None:
-                    beyond = table[box] = self._row(box)
+                beyond = table[box] or self._moves_of(box)
                 succs = [
                     cell * per_agent + (pushed if cell == box else box)
                     for cell, pushed in zip(moves, beyond)
@@ -643,10 +642,11 @@ def enumerate_solutions(
     max_solutions: int | None = None,
     sessions: SessionStack | None = None,
 ) -> list[Solution]:
-    """Every loopless solution (at most `max_solutions`), shortest first,
-    equal lengths in the breadth-first order of their states from the start
-    (see `_loopless_paths`), so a space searched before gives what a fresh
-    one would.
+    """Every loopless solution (at most `max_solutions`, any int >= 0, or
+    all of them when it is None), shortest first, equal lengths in the
+    breadth-first order of their states from the start (see
+    `_loopless_paths`), so a space searched before gives what a fresh one
+    would.
 
     Deadlock states are inhibited first, in `sessions` (a fresh stack if
     none is given), in its open layer; that builds the whole space and
@@ -661,7 +661,9 @@ def enumerate_solutions(
     if sessions is None:
         sessions = SessionStack(space.graph)
     prune_deadlocks(space, sessions)
-    return list(islice(_solutions(space, sessions), max_solutions))
+    # `islice` stops at most at sys.maxsize, more routes than any space has
+    limit = max_solutions if max_solutions is None else min(max_solutions, sys.maxsize)
+    return list(islice(_solutions(space, sessions), limit))
 
 
 def solve_with_constraints(space: StateSpace, forbidden: set[tuple[int, int]]):

@@ -10,7 +10,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridmind import ConceptGraph, Environment, StateSpace, solve
@@ -236,8 +236,10 @@ def test_solve_enumerate_zero_lists_every_route(capsys, tmp_path):
     env = tmp_path / "c.env"
     env.write_text("S..\n...\n..G\n")
     every = run(capsys, "solve", str(env), "--enumerate")
-    assert every[1].splitlines()[-1] == "TOTAL 12"
-    assert run(capsys, "solve", str(env), "--enumerate", "0") == every
+    assert every[0] == 0 and every[1].splitlines()[-1] == "TOTAL 12"
+    # any N above the number of routes lists them all, past sys.maxsize too
+    for n in ("0", "99999999999999999999"):
+        assert run(capsys, "solve", str(env), "--enumerate", n) == every
 
 
 def test_solve_enumerate_over_route_budget_is_input_error(capsys, tmp_path):
@@ -567,6 +569,7 @@ ARGVS = st.one_of(
 
 
 @given(argv=ARGVS)
+@example(argv=["solve", "maze.env", "--enumerate", "99999999999999999999"])
 @settings(max_examples=150, deadline=None)
 def test_exit_code_contract_on_arbitrary_argv(argv):
     """Whatever the arguments, `main` exits 0, 1 or 2 (argparse's own exits

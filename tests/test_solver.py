@@ -444,6 +444,11 @@ def test_enumerate_matches_all_simple_paths_random():
 def test_enumerate_respects_max():
     env = Environment.from_text("S..\n...\n..G\n")
     assert len(enumerate_solutions(StateSpace(env), max_solutions=3)) == 3
+    assert enumerate_solutions(StateSpace(env), max_solutions=0) == []
+    # any N above the number of routes lists them all, past sys.maxsize too
+    every = enumerate_solutions(StateSpace(env))
+    assert len(every) == 12
+    assert enumerate_solutions(StateSpace(env), 10**20) == every
 
 
 def test_constraints_empty_equals_solve():
