@@ -442,6 +442,13 @@ def explanation_subsets_oracle(
     composites or covered features, and every feature is covered,
     mutex-suppressed by a covered feature, or not coverable by any
     composite at all.
+
+    Its scope: consistency here is mutex only among the chosen composites
+    and the covered features, with no inhibition closure. It agrees with
+    the search while mutex links join features alone. A link on a pad (a
+    child that is no feature) or on a composite inhibits a parent through
+    the closure, which this oracle does not see; `explanation_closure_oracle`
+    covers those inputs.
     """
 
     def partners(n: int) -> set[int]:
@@ -480,6 +487,47 @@ def explanation_subsets_oracle(
             continue
         valid.add(frozenset(chosen))
     return {s for s in valid if not any(s < o for o in valid)}
+
+
+def explanation_closure_oracle(
+    composites: dict[int, set[int]],
+    features: set[int],
+    parents: dict[int, set[int]],
+    mutex: set[tuple[int, int]],
+) -> tuple[set[tuple[frozenset[int], frozenset[int], frozenset[int]]], set[int]]:
+    """The maximal explanations, as (chosen, covered, suppressed), and the
+    novel residue, by brute-force subset enumeration with consistency
+    judged by `inhibition_closure_oracle`.
+
+    `composites` maps each composite to its children; those with a child
+    in `features` may be chosen. A nonempty subset of them is consistent
+    when their feature sets are pairwise disjoint and the closure, with
+    nothing inhibited and Active = chosen | covered, reaches no Active
+    node. It is an explanation when, besides, each coverable feature it
+    leaves uncovered, its suppressed set, has a covered mutex partner. The
+    residue is every feature that no maximal explanation covers or
+    suppresses: all of them when there is no explanation.
+    """
+    coverable = {c: kids & features for c, kids in composites.items() if kids & features}
+    explainable = set().union(*coverable.values())
+    ids = sorted(coverable)
+    found = {}
+    for mask in range(1, 2 ** len(ids)):
+        chosen = frozenset(ids[i] for i in range(len(ids)) if mask >> i & 1)
+        covered = set().union(*(coverable[c] for c in chosen))
+        if sum(len(coverable[c]) for c in chosen) != len(covered):
+            continue  # two chosen composites share a feature
+        if inhibition_closure_oracle(parents, mutex, set(), chosen | covered) is None:
+            continue
+        suppressed = explainable - covered
+        if not all(
+            any((f, p) in mutex or (p, f) in mutex for p in covered) for f in suppressed
+        ):
+            continue
+        found[chosen] = (chosen, frozenset(covered), frozenset(suppressed))
+    maximal = {e for s, e in found.items() if not any(s < o for o in found)}
+    residue = set(features).difference(*(cov | sup for _, cov, sup in maximal))
+    return maximal, residue
 
 
 # -- graph format oracle ---------------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gridmind import ConceptGraph, Environment, StateSpace, solve
+from gridmind import ConceptGraph, Environment, Grid, Learner, StateSpace, solve
 from gridmind.cli import main
 
 RING = "xxx\nx.x\nxxx\n"
@@ -159,6 +159,23 @@ def test_explain_unknown_pattern_exit_one(capsys, ring_file, tmp_path):
     code, out, _ = run(capsys, "explain", str(novel), "--graph", graph)
     assert code == 1
     assert "NOVEL" in out
+
+
+def test_explain_over_decision_budget_is_input_error(capsys, tmp_path):
+    # every two-symbol pattern over 14 symbols: a row of the 14 symbols has
+    # 13!! = 135,135 explanations, and the search stops at its budget
+    symbols = "abcdefghijklmn"
+    learner = Learner()
+    for i, a in enumerate(symbols):
+        for b in symbols[i + 1:]:
+            learner.observe(Grid.from_text(a + b + "\n"))
+    graph, row = tmp_path / "pairs.cg", tmp_path / "row.txt"
+    learner.graph.export_file(graph)
+    row.write_text(".".join(symbols) + "\n")
+    code, out, err = run(capsys, "explain", str(row), "--graph", str(graph))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "MAX_EXPLAIN_DECISIONS (65536)" in err
+    assert "Traceback" not in err
 
 
 def test_solve_corridor(capsys, tmp_path):

@@ -6,7 +6,8 @@ import pytest
 
 from gridmind import ConceptGraph, Grid, Learner, SessionStack, explain, explain_features
 from gridmind.inhibition import ConflictError
-from oracles import explanation_subsets_oracle
+from gridmind.learning import BoundsError
+from oracles import explanation_closure_oracle, explanation_subsets_oracle, parents_by_node
 
 
 class _CountingSessions(SessionStack):
@@ -155,6 +156,101 @@ def test_oracle_equivalence_random():
         for e in regular:
             assert e.covered == set().union(*(comps[c] for c in e.chosen))
             assert e.suppressed == explainable - e.covered
+
+
+def _random_scene(rng):
+    """A graph and a feature set with mutex links on features, pads and
+    composites, and composites that place composites."""
+    g = ConceptGraph()
+    feats = [g.create_primitive(f"f{i}") for i in range(rng.randint(1, 7))]
+    nodes = feats + [g.create_primitive(f"pad{i}") for i in range(rng.randint(0, 3))]
+    comps = []
+    for _ in range(rng.randint(0, 7)):
+        kids = rng.sample(nodes, rng.randint(1, min(3, len(nodes))))
+        cid = g.create_composite([(kid, (0, 0)) for kid in kids] + [(kids[0], (1, 0))])
+        if cid not in comps:
+            comps.append(cid)
+            nodes.append(cid)
+    for _ in range(rng.randint(0, 4)):
+        if len(nodes) > 1:
+            g.add_mutex(*rng.sample(nodes, 2))
+    features = set(feats)
+    if comps and rng.random() < 0.3:
+        features.add(rng.choice(comps))  # a multi-cell feature is a composite
+    if rng.random() < 0.2:
+        features.add(len(g) + 5)  # a feature id the graph does not know
+    return g, comps, features
+
+
+def test_closure_oracle_equivalence_random():
+    rng = random.Random(2024)
+    for _ in range(2000):
+        g, comps, features = _random_scene(rng)
+        composites = {c: {ch for ch, _ in g.children_of(c)} for c in comps}
+        maximal, residue = explanation_closure_oracle(
+            composites, features, parents_by_node(g), g.mutex
+        )
+        result = explain_features(g, features)
+        regular = {(e.chosen, e.covered, e.suppressed) for e in result if not e.novel}
+        assert regular == maximal
+        assert [e.residue for e in result if e.novel] == ([residue] if residue else [])
+
+
+def test_pad_mutex_conflict_leaves_every_feature_novel():
+    # choosing B activates f2, so its partner pad1 is inhibited, and so is
+    # pad1's parent A (rule A): A and B conflict, though no chosen composite
+    # or covered feature is a partner of another. Neither covers alone, so
+    # there is no explanation and every feature is novel, not only the
+    # uncoverable ones.
+    g = ConceptGraph()
+    f1, f2, pad1, pad2 = (g.create_primitive(name) for name in ("f1", "f2", "pad1", "pad2"))
+    g.add_mutex(pad1, f2)
+    g.create_composite([(f1, (0, 0)), (pad1, (1, 0))])
+    g.create_composite([(f2, (0, 0)), (pad2, (1, 0))])
+    [novel] = explain_features(g, {f1, f2})
+    assert novel.novel and not (novel.chosen or novel.covered or novel.suppressed)
+    assert novel.residue == {f1, f2}
+
+
+def test_decision_budget_bounds_the_search(monkeypatch):
+    # the fixture's search takes 7 decisions: 5 cover attempts (one
+    # conflicts) and 2 leave branches
+    g, f, comp = _fixture()
+    features = {f[i] for i in range(1, 5)}
+    monkeypatch.setattr("gridmind.interpretation.MAX_EXPLAIN_DECISIONS", 7)
+    assert len(explain_features(g, features)) == 2
+    monkeypatch.setattr("gridmind.interpretation.MAX_EXPLAIN_DECISIONS", 6)
+    with pytest.raises(BoundsError, match="MAX_EXPLAIN_DECISIONS"):
+        explain_features(g, features)
+
+
+def test_refused_search_leaves_the_callers_sessions_as_they_were(monkeypatch):
+    g, f, comp = _fixture()
+    elsewhere = g.create_primitive("elsewhere")
+    for budget in range(7):
+        monkeypatch.setattr("gridmind.interpretation.MAX_EXPLAIN_DECISIONS", budget)
+        sessions = _CountingSessions(g)
+        sessions.begin_session()
+        sessions.set_active(f[1])
+        sessions.inhibit(elsewhere)
+        with pytest.raises(BoundsError):
+            explain_features(g, {f[i] for i in range(1, 5)}, sessions)
+        assert sessions.propagations <= budget
+        assert sessions.depth == 1
+        assert sessions.active_nodes() == {f[1]}
+        assert sessions.inhibited_nodes() == {elsewhere}
+
+
+def test_all_pairs_of_12_features_fit_the_decision_budget():
+    # 11!! = 10,395 explanations from 25,058 cover attempts
+    g = ConceptGraph()
+    feats = [g.create_primitive(f"f{i}") for i in range(12)]
+    for i, a in enumerate(feats):
+        for b in feats[i + 1:]:
+            g.create_composite([(a, (0, 0)), (b, (1, 0))])
+    sessions = _CountingSessions(g)
+    assert len(explain_features(g, set(feats), sessions)) == 10395
+    assert sessions.propagations == 25058
 
 
 def test_accounting_always_complete():
