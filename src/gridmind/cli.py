@@ -3,6 +3,11 @@
 Subcommands: learn, show, recognize, explain, solve, graph. All output is
 line-oriented and deterministic. Exit codes: 0 success, 1 no solution /
 no explanation, 2 input or parse error.
+
+Each subcommand imports the engine modules it runs, and turns their input
+errors into exit code 2; `graph` and `grid`, which every subcommand reads
+its input through, are imported here. Any other exception is a fault and
+ends in a traceback.
 """
 
 from __future__ import annotations
@@ -14,18 +19,6 @@ import sys
 
 from .graph import ConceptGraph, GraphError
 from .grid import Grid, GridError
-from .inhibition import SessionStack
-from .interpretation import explain
-from .learning import Learner, LearningError
-from .solver import (
-    Environment,
-    InvalidEnvError,
-    NoSolution,
-    StateSpace,
-    enumerate_solutions,
-    solve,
-    solve_with_constraints,
-)
 
 EXIT_OK = 0
 EXIT_NO_RESULT = 1
@@ -36,8 +29,9 @@ class _CliInputError(Exception):
     pass
 
 
-def _load(path, parse):
-    """Read `path` as UTF-8 and parse it; an error names the path."""
+def _load(path, parse, errors=(GraphError, GridError)):
+    """Read `path` as UTF-8 and parse it; a parse error of a type in
+    `errors` names the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -45,17 +39,22 @@ def _load(path, parse):
         raise _CliInputError(f"cannot read {path}: {exc}") from None
     try:
         return parse(text)
-    except (GraphError, GridError, InvalidEnvError) as exc:
+    except errors as exc:
         raise _CliInputError(f"{path}: {exc}") from None
 
 
 def _cmd_learn(args) -> int:
+    from .learning import Learner, LearningError
+
     grid = _load(args.pattern, Grid.from_text)
     # the one command that starts a new graph when there is no file yet
     graph = ConceptGraph()
     if args.graph is not None and os.path.exists(args.graph):
         graph = _load(args.graph, ConceptGraph.import_text)
-    report = Learner(graph).observe(grid)
+    try:
+        report = Learner(graph).observe(grid)
+    except LearningError as exc:
+        raise _CliInputError(exc) from None
     if args.graph is not None:
         graph.export_file(args.graph)
     print(f"ROOT {report.root}")
@@ -65,15 +64,26 @@ def _cmd_learn(args) -> int:
 
 
 def _cmd_show(args) -> int:
-    grid = Learner(_load(args.graph, ConceptGraph.import_text)).reconstruct(args.node)
+    from .learning import Learner, LearningError
+
+    learner = Learner(_load(args.graph, ConceptGraph.import_text))
+    try:
+        grid = learner.reconstruct(args.node)
+    except LearningError as exc:
+        raise _CliInputError(exc) from None
     sys.stdout.write(grid.to_text())
     return EXIT_OK
 
 
 def _cmd_recognize(args) -> int:
+    from .learning import Learner, LearningError
+
     grid = _load(args.pattern, Grid.from_text)
     learner = Learner(_load(args.graph, ConceptGraph.import_text))
-    matches = learner.recognize(grid)
+    try:
+        matches = learner.recognize(grid)
+    except LearningError as exc:
+        raise _CliInputError(exc) from None
     for m in matches:
         print(f"MATCH {m.concept} {m.score} {m.anchor[0]},{m.anchor[1]}")
     if not matches:
@@ -86,9 +96,15 @@ def _fmt_ids(ids) -> str:
 
 
 def _cmd_explain(args) -> int:
+    from .interpretation import explain
+    from .learning import Learner, LearningError
+
     grid = _load(args.pattern, Grid.from_text)
     learner = Learner(_load(args.graph, ConceptGraph.import_text))
-    explanations = explain(learner, grid)
+    try:
+        explanations = explain(learner, grid)
+    except LearningError as exc:
+        raise _CliInputError(exc) from None
     regular = [e for e in explanations if not e.novel]
     for e in regular:
         print(
@@ -113,20 +129,27 @@ def _parse_cell(text: str) -> tuple[int, int]:
 
 
 def _cmd_solve(args) -> int:
+    from .inhibition import SessionStack
+    from .solver import Environment, InvalidEnvError, NoSolution, StateSpace
+    from .solver import enumerate_solutions, solve, solve_with_constraints
+
     if args.enumerate is not None:
         if args.enumerate < 0:
             raise _CliInputError(f"--enumerate needs N >= 0, got {args.enumerate}")
         if args.forbid:
             raise _CliInputError("--forbid cannot be combined with --enumerate")
-    space = StateSpace(_load(args.env, Environment.from_text))
+    space = StateSpace(_load(args.env, Environment.from_text, InvalidEnvError))
     sessions = SessionStack(space.graph)
     forbidden = {_parse_cell(c) for c in args.forbid or ()}
-    if args.enumerate is not None:
-        results = enumerate_solutions(space, args.enumerate or None, sessions)
-    elif forbidden:
-        results = [solve_with_constraints(space, forbidden)]
-    else:
-        results = [solve(space, sessions)]
+    try:
+        if args.enumerate is not None:
+            results = enumerate_solutions(space, args.enumerate or None, sessions)
+        elif forbidden:
+            results = [solve_with_constraints(space, forbidden)]
+        else:
+            results = [solve(space, sessions)]
+    except InvalidEnvError as exc:
+        raise _CliInputError(exc) from None
     routes = [None if isinstance(r, NoSolution) else r.moves for r in results]
     if args.trace is not None:
         # written before any output, so a trace that cannot be written
@@ -222,7 +245,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (_CliInputError, GraphError, GridError, LearningError, InvalidEnvError, OSError) as exc:
+    except (_CliInputError, GraphError, GridError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -40,7 +40,6 @@ import contextlib
 import operator
 import os
 import re
-from dataclasses import dataclass
 from enum import Enum
 
 Role = tuple[int, int]
@@ -80,12 +79,14 @@ class ParseError(GraphError):
         self.line_no = line_no
 
 
-@dataclass(slots=True)
 class ConceptNode:
-    id: int
-    kind: NodeKind
-    label: str = ""
-    scale: int = 1
+    __slots__ = ("id", "kind", "label", "scale")
+
+    def __init__(self, id: int, kind: NodeKind, label: str = "", scale: int = 1):
+        self.id = id
+        self.kind = kind
+        self.label = label
+        self.scale = scale
 
 
 def _pair(a: int, b: int) -> tuple[int, int]:

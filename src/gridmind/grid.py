@@ -6,8 +6,6 @@ whitespace) means empty. Coordinates grow right (x) and down (y).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 MAX_DIM = 256
 
 EMPTY_CHARS = {".", " "}
@@ -17,23 +15,30 @@ class GridError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class Grid:
-    width: int
-    height: int
-    cells: dict[tuple[int, int], str] = field(default_factory=dict)
+    """A `width` x `height` canvas and its occupied `cells`. A directly
+    built grid has its size and every cell checked; `from_text` checks
+    each symbol as it reads it."""
 
-    def __post_init__(self):
-        if not (1 <= self.width <= MAX_DIM and 1 <= self.height <= MAX_DIM):
-            raise GridError(f"grid dimensions out of range: {self.width}x{self.height}")
-        for (x, y), sym in self.cells.items():
-            if not (0 <= x < self.width and 0 <= y < self.height):
-                raise GridError(f"cell ({x}, {y}) outside {self.width}x{self.height}")
+    __slots__ = ("width", "height", "cells")
+
+    def __init__(self, width: int, height: int, cells: dict[tuple[int, int], str] | None = None):
+        if cells is None:
+            cells = {}
+        if not (1 <= width <= MAX_DIM and 1 <= height <= MAX_DIM):
+            raise GridError(f"grid dimensions out of range: {width}x{height}")
+        for (x, y), sym in cells.items():
+            if not (0 <= x < width and 0 <= y < height):
+                raise GridError(f"cell ({x}, {y}) outside {width}x{height}")
             if len(sym) != 1 or sym in EMPTY_CHARS or not sym.isprintable():
                 raise GridError(f"bad symbol {sym!r} at ({x}, {y})")
+        self.width, self.height, self.cells = width, height, cells
 
-    # the generated `__eq__` compares the fields; `cells` is a dict, so the
-    # hash is written out
+    def __eq__(self, other):
+        if type(other) is not Grid:
+            return NotImplemented
+        return (self.width, self.height, self.cells) == (other.width, other.height, other.cells)
+
     def __hash__(self):
         return hash((self.width, self.height, frozenset(self.cells.items())))
 
@@ -75,15 +80,21 @@ class Grid:
         if not lines:
             raise GridError("no grid rows in input")
         width, height = max(map(len, lines)), len(lines)
-        if width > MAX_DIM or height > MAX_DIM:  # before a cell is made, as `__post_init__`
+        if width > MAX_DIM or height > MAX_DIM:  # before a cell is made
             raise GridError(f"grid dimensions out of range: {width}x{height}")
+        # the size is in range and every cell inside it, so only each
+        # symbol is checked, once, as its row is read
         cells = {}
         for y, line in enumerate(lines):
+            if not line.isprintable():
+                x = next(x for x, ch in enumerate(line) if not ch.isprintable())
+                raise GridError(f"bad symbol {line[x]!r} at ({x}, {y})")
             for x, ch in enumerate(line):
-                if ch in EMPTY_CHARS:
-                    continue
-                cells[(x, y)] = ch
-        return cls(width, height, cells)
+                if ch not in EMPTY_CHARS:
+                    cells[(x, y)] = ch
+        grid = object.__new__(cls)
+        grid.width, grid.height, grid.cells = width, height, cells
+        return grid
 
     @classmethod
     def from_cells(cls, cells: dict[tuple[int, int], str]) -> "Grid":

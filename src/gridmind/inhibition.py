@@ -34,8 +34,6 @@ graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .graph import ConceptGraph
 
 
@@ -51,11 +49,11 @@ class ConflictError(InhibitionError):
     pass
 
 
-@dataclass
 class StateGraphView:
-    states: set[int]
-    transitions: dict[int, list[int]]
-    targets: set[int]
+    __slots__ = ("states", "transitions", "targets")
+
+    def __init__(self, states: set[int], transitions: dict[int, list[int]], targets: set[int]):
+        self.states, self.transitions, self.targets = states, transitions, targets
 
 
 class SessionStack:

@@ -47,7 +47,6 @@ accounts for all of the coverable features and for nothing else.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from .graph import ConceptGraph, NodeKind
 from .grid import MAX_DIM, Grid
@@ -60,13 +59,19 @@ from .learning import BoundsError, Learner
 MAX_EXPLAIN_DECISIONS = MAX_DIM * MAX_DIM
 
 
-@dataclass(frozen=True)
 class Explanation:
-    chosen: frozenset[int]
-    covered: frozenset[int]
-    suppressed: frozenset[int]
-    residue: frozenset[int] = frozenset()
-    novel: bool = False
+    __slots__ = ("chosen", "covered", "suppressed", "residue", "novel")
+
+    def __init__(
+        self,
+        chosen: frozenset[int],
+        covered: frozenset[int],
+        suppressed: frozenset[int],
+        residue: frozenset[int] = frozenset(),
+        novel: bool = False,
+    ):
+        self.chosen, self.covered, self.suppressed = chosen, covered, suppressed
+        self.residue, self.novel = residue, novel
 
 
 def explain_features(
@@ -189,10 +194,16 @@ def explain_features(
 
 
 def explain(learner: Learner, g: Grid) -> list[Explanation]:
-    """Explain a grid: detect its features, then cover them with composites."""
+    """Explain a grid: detect its features, then cover them with composites.
+
+    Features with no node at all are novelty the search cannot see. When
+    some feature has none, the result ends in a novel explanation; when no
+    feature has a node, the search has nothing to cover and that novel
+    explanation is the whole result. Only an empty grid gets the one empty
+    explanation of no features."""
     detected = learner._detect(g)
-    result = explain_features(learner.graph, detected.keys() - {None})
-    # features with no node at all are novelty the search cannot see
-    if None in detected and not any(e.novel for e in result):
+    unseen = detected.pop(None, None) is not None
+    result = explain_features(learner.graph, set(detected)) if detected or not unseen else []
+    if unseen and not any(e.novel for e in result):
         result.append(Explanation(frozenset(), frozenset(), frozenset(), novel=True))
     return result

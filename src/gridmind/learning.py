@@ -17,8 +17,6 @@ inhibited node tests `sessions.is_inhibited(root)` first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 from .graph import ConceptGraph, NodeKind
@@ -49,20 +47,22 @@ class BoundsError(LearningError):
     pass
 
 
-@dataclass(frozen=True)
 class FeatureInstance:
-    """A feature shape detected at a concrete grid position."""
+    """A feature shape detected at a concrete grid position: its `symbol`,
+    its `offsets` relative to the anchor cell at (0, 0), and its `anchor`."""
 
-    symbol: str
-    offsets: frozenset[Coord]  # anchor-relative, anchor cell at (0, 0)
-    anchor: Coord
+    __slots__ = ("symbol", "offsets", "anchor")
+
+    def __init__(self, symbol: str, offsets: frozenset[Coord], anchor: Coord):
+        self.symbol, self.offsets, self.anchor = symbol, offsets, anchor
 
 
 class RecognitionMatch(NamedTuple):
     """A composite `recognize` found, the anchor it is placed at and its
     score. A named tuple, so it is cheap to build, with read-only fields;
     but it equals only another match, never a plain tuple, and it hashes
-    as the tuple of its fields, as a frozen dataclass does."""
+    as the tuple of its fields. `score` is a `fractions.Fraction`, which
+    only `recognize` imports."""
 
     concept: int
     anchor: Coord
@@ -77,20 +77,21 @@ class RecognitionMatch(NamedTuple):
     __hash__ = tuple.__hash__
 
 
-@dataclass(frozen=True)
 class Discrepancy:
-    missing: frozenset[tuple[int, int, str]]
-    surplus: frozenset[tuple[int, int, str]]
+    __slots__ = ("missing", "surplus")
+
+    def __init__(self, missing: frozenset[tuple[int, int, str]], surplus: frozenset[tuple[int, int, str]]):
+        self.missing, self.surplus = missing, surplus
 
     def is_empty(self) -> bool:
         return not self.missing and not self.surplus
 
 
-@dataclass(frozen=True)
 class ObserveReport:
-    root: int
-    nodes_created: int
-    nodes_reused: int
+    __slots__ = ("root", "nodes_created", "nodes_reused")
+
+    def __init__(self, root: int, nodes_created: int, nodes_reused: int):
+        self.root, self.nodes_created, self.nodes_reused = root, nodes_created, nodes_reused
 
 
 # the four 4-neighbour steps, and the one-cell shape of a single or a
@@ -165,23 +166,34 @@ _FIELDS = {"identity": (), "translate": ("dx", "dy"), "rotate90": ("k",),
            "reflect_h": (), "reflect_v": (), "scale": ("k",)}
 
 
-@dataclass(frozen=True)
 class Transformation:
-    kind: str  # identity | translate | rotate90 | reflect_h | reflect_v | scale
-    dx: int = 0
-    dy: int = 0
-    k: int = 0
+    """One member of the family: its `kind` and the fields that kind uses
+    (see `_FIELDS`); the others stay 0."""
 
-    def __post_init__(self) -> None:
+    __slots__ = ("kind", "dx", "dy", "k")
+
+    def __init__(self, kind: str, dx: int = 0, dy: int = 0, k: int = 0):
         try:
-            used = _FIELDS[self.kind]
+            used = _FIELDS[kind]
         except KeyError:
-            raise ValueError(f"unknown transformation kind {self.kind!r}") from None
-        for f in ("dx", "dy", "k"):
-            if getattr(self, f) and f not in used:
-                raise ValueError(f"a {self.kind} transformation has no field {f}")
-        if self.kind == "scale" and self.k < 2:
-            raise ValueError(f"scale factor must be >= 2, got {self.k}")
+            raise ValueError(f"unknown transformation kind {kind!r}") from None
+        for f, value in (("dx", dx), ("dy", dy), ("k", k)):
+            if value and f not in used:
+                raise ValueError(f"a {kind} transformation has no field {f}")
+        if kind == "scale" and k < 2:
+            raise ValueError(f"scale factor must be >= 2, got {k}")
+        self.kind = kind
+        self.dx = dx
+        self.dy = dy
+        self.k = k
+
+    def __eq__(self, other):
+        if type(other) is not Transformation:
+            return NotImplemented
+        return (self.kind, self.dx, self.dy, self.k) == (other.kind, other.dx, other.dy, other.k)
+
+    def __hash__(self):
+        return hash((self.kind, self.dx, self.dy, self.k))
 
     def __str__(self) -> str:
         return ":".join([self.kind, *(str(getattr(self, f)) for f in _FIELDS[self.kind])])
@@ -496,6 +508,8 @@ class Learner:
         each match's concept; that is the ranked list of the composites
         left active, since each is scored and ranked on its own.
         """
+        from fractions import Fraction
+
         detected = self._detect(g)  # detected node -> its anchors in g
         detected.pop(None, None)
         nodes, children, codes = self.graph.nodes, self.graph._children, self._codes

@@ -47,7 +47,6 @@ from __future__ import annotations
 import heapq
 import sys
 from collections.abc import Callable, Container, Iterable, Iterator, Mapping
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from typing import NamedTuple, Optional
@@ -84,20 +83,27 @@ class State(NamedTuple):
     box: Optional[tuple[int, int]] = None
 
 
-@dataclass(frozen=True)
 class Environment:
     """A grid of `width` x `height` cells. `free` is one byte per cell,
     row-major (cell `(x, y)` at `y * width + x`): 0 on a wall, non-zero on
     a free cell. `box` and `box_target` are both set in a push puzzle and
     both None in a maze."""
 
-    width: int
-    height: int
-    free: bytes
-    start: tuple[int, int]
-    goal: tuple[int, int]
-    box: Optional[tuple[int, int]] = None
-    box_target: Optional[tuple[int, int]] = None
+    __slots__ = ("width", "height", "free", "start", "goal", "box", "box_target")
+
+    def __init__(
+        self,
+        width: int,
+        height: int,
+        free: bytes,
+        start: tuple[int, int],
+        goal: tuple[int, int],
+        box: Optional[tuple[int, int]] = None,
+        box_target: Optional[tuple[int, int]] = None,
+    ):
+        self.width, self.height, self.free = width, height, free
+        self.start, self.goal = start, goal
+        self.box, self.box_target = box, box_target
 
     def is_free(self, pos: tuple[int, int]) -> bool:
         x, y = pos
@@ -142,10 +148,19 @@ class Environment:
         return cls(width, height, free, place("S"), place("G"), box, target)
 
 
-@dataclass(frozen=True)
 class Solution:
-    path: tuple[State, ...]
-    concept: int
+    __slots__ = ("path", "concept")
+
+    def __init__(self, path: tuple[State, ...], concept: int):
+        self.path, self.concept = path, concept
+
+    def __eq__(self, other):
+        if type(other) is not Solution:
+            return NotImplemented
+        return (self.path, self.concept) == (other.path, other.concept)
+
+    def __hash__(self):
+        return hash((self.path, self.concept))
 
     @property
     def moves(self) -> list[str]:
@@ -156,9 +171,16 @@ class Solution:
         ]
 
 
-@dataclass(frozen=True)
 class NoSolution:
-    pass
+    """The answer when no route is left; every `NoSolution` equals every other."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return True if type(other) is NoSolution else NotImplemented
+
+    def __hash__(self):
+        return hash(())
 
 
 class _Cells(dict):

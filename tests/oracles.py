@@ -8,7 +8,6 @@ under test.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import replace
 from fractions import Fraction
 
 from gridmind import Environment, Grid, NodeKind, State, extract_features
@@ -132,7 +131,7 @@ def push_cut_off(env: Environment) -> bool:
             if env.is_free(nxt) and env.is_free((x - dx, y - dy)) and nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
-    walled = bfs_distance(replace(env, box=None, box_target=None)) is None
+    walled = bfs_distance(Environment(env.width, env.height, env.free, env.start, env.goal)) is None
     return env.box_target not in seen or walled
 
 

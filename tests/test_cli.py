@@ -161,6 +161,14 @@ def test_explain_unknown_pattern_exit_one(capsys, ring_file, tmp_path):
     assert "NOVEL" in out
 
 
+def test_explain_of_features_that_have_no_node_prints_only_novel(capsys, tmp_path):
+    pattern, probe, graph = tmp_path / "ab.txt", tmp_path / "q.txt", str(tmp_path / "g.cg")
+    pattern.write_text("ab\n")
+    probe.write_text("q\n")
+    run(capsys, "learn", str(pattern), "--graph", graph)
+    assert run(capsys, "explain", str(probe), "--graph", graph) == (1, "NOVEL -\n", "")
+
+
 def test_explain_over_decision_budget_is_input_error(capsys, tmp_path):
     # every two-symbol pattern over 14 symbols: a row of the 14 symbols has
     # 13!! = 135,135 explanations, and the search stops at its budget
@@ -330,6 +338,22 @@ def test_solve_over_state_budget_is_input_error(capsys, tmp_path, monkeypatch):
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "8 states" in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "target, command",
+    [("gridmind.learning.Learner.observe", "learn"), ("gridmind.solver.solve", "solve")],
+)
+def test_an_unexpected_exception_is_not_an_input_error(tmp_path, monkeypatch, target, command):
+    # each command catches only the input errors of the modules it runs
+    def fault(*args, **kwargs):
+        raise RuntimeError("fault")
+
+    monkeypatch.setattr(target, fault)
+    path = tmp_path / "input.txt"
+    path.write_text("S.G\n" if command == "solve" else RING)
+    with pytest.raises(RuntimeError, match="fault"):
+        main([command, str(path)])
 
 
 def test_solve_bad_forbid_is_input_error(capsys, tmp_path):

@@ -63,3 +63,18 @@ def test_equal_grids_hash_equal():
     b = Grid(2, 2, {(1, 1): "y", (0, 0): "x"})
     assert a == b and hash(a) == hash(b)
     assert {a: 1}[b] == 1
+
+
+@pytest.mark.parametrize(
+    "text, sym, cell",
+    [("x\x00\n", "\x00", (1, 0)), ("ab\n.\tc\n", "\t", (1, 1)), ("a\x01\n\x02b\n", "\x01", (1, 0))],
+    ids=["nul", "tab", "first-of-two"],
+)
+def test_from_text_refuses_a_non_printable_symbol_as_a_direct_grid_does(text, sym, cell):
+    # from_text checks each symbol as it reads it, not through the
+    # constructor's full check, and must refuse with the same message
+    with pytest.raises(GridError) as direct:
+        Grid(3, 2, {cell: sym})
+    with pytest.raises(GridError) as parsed:
+        Grid.from_text(text)
+    assert str(parsed.value) == str(direct.value) == f"bad symbol {sym!r} at {cell}"

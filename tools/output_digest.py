@@ -9,7 +9,10 @@ exception it raised, is made canonical, and its check's verdict is added:
 - a `ConceptGraph` becomes its `export_text()`, and a `StateSpace` its graph;
 - a `RecognitionMatch` becomes `(concept, anchor, str(score))`, and a
   `Transformation` its `str`;
-- dataclasses, tuples, lists and sets become nested lists of the same;
+- tuples, lists and sets become nested lists of the same, and an object
+  of any other class with `__slots__` (the program's record classes,
+  such as `Solution`) becomes its class name followed by its slots, in
+  the order the class declares them;
 - the pass's work directory is replaced by a fixed token in every string.
 
 The last line hashes, for each `demos/*.py` in name order, its file name
@@ -23,7 +26,6 @@ Standard library only; no options. Usage: python tools/output_digest.py
 """
 
 import contextlib
-import dataclasses
 import hashlib
 import importlib.util
 import io
@@ -57,13 +59,13 @@ def canonical(value, workdir: str):
         return [value.concept, list(value.anchor), str(value.score)]
     if isinstance(value, gm.Transformation):
         return str(value)
-    if dataclasses.is_dataclass(value):
-        fields = [getattr(value, f.name) for f in dataclasses.fields(value)]
-        return [type(value).__name__, *(canonical(v, workdir) for v in fields)]
     if isinstance(value, (tuple, list)):
         return [canonical(v, workdir) for v in value]
     if isinstance(value, (set, frozenset)):
         return sorted(repr(canonical(v, workdir)) for v in value)
+    slots = getattr(type(value), "__slots__", None)
+    if slots is not None:
+        return [type(value).__name__, *(canonical(getattr(value, s), workdir) for s in slots)]
     raise TypeError(f"no canonical form for {type(value).__name__}")
 
 
