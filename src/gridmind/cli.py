@@ -4,10 +4,12 @@ Subcommands: learn, show, recognize, explain, solve, graph. All output is
 line-oriented and deterministic. Exit codes: 0 success, 1 no solution /
 no explanation, 2 input or parse error.
 
-Each subcommand imports the engine modules it runs, and turns their input
-errors into exit code 2; `graph` and `grid`, which every subcommand reads
-its input through, are imported here. Any other exception is a fault and
-ends in a traceback.
+Each subcommand imports the engine modules it runs; `graph` and `grid`,
+which every subcommand reads its input through, are imported here. One
+rule decides exit code 2: `main` maps `GraphError`, `GridError` (which
+includes `LearningError` and `InvalidEnvError`) and `OSError` to it, with
+the message on stderr. Any other exception is a fault and ends in a
+traceback.
 """
 
 from __future__ import annotations
@@ -29,9 +31,8 @@ class _CliInputError(Exception):
     pass
 
 
-def _load(path, parse, errors=(GraphError, GridError)):
-    """Read `path` as UTF-8 and parse it; a parse error of a type in
-    `errors` names the path."""
+def _load(path, parse):
+    """Read `path` as UTF-8 and parse it; an input error names the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -39,22 +40,19 @@ def _load(path, parse, errors=(GraphError, GridError)):
         raise _CliInputError(f"cannot read {path}: {exc}") from None
     try:
         return parse(text)
-    except errors as exc:
+    except (GraphError, GridError) as exc:
         raise _CliInputError(f"{path}: {exc}") from None
 
 
 def _cmd_learn(args) -> int:
-    from .learning import Learner, LearningError
+    from .learning import Learner
 
     grid = _load(args.pattern, Grid.from_text)
     # the one command that starts a new graph when there is no file yet
     graph = ConceptGraph()
     if args.graph is not None and os.path.exists(args.graph):
         graph = _load(args.graph, ConceptGraph.import_text)
-    try:
-        report = Learner(graph).observe(grid)
-    except LearningError as exc:
-        raise _CliInputError(exc) from None
+    report = Learner(graph).observe(grid)
     if args.graph is not None:
         graph.export_file(args.graph)
     print(f"ROOT {report.root}")
@@ -64,26 +62,20 @@ def _cmd_learn(args) -> int:
 
 
 def _cmd_show(args) -> int:
-    from .learning import Learner, LearningError
+    from .learning import Learner
 
     learner = Learner(_load(args.graph, ConceptGraph.import_text))
-    try:
-        grid = learner.reconstruct(args.node)
-    except LearningError as exc:
-        raise _CliInputError(exc) from None
+    grid = learner.reconstruct(args.node)
     sys.stdout.write(grid.to_text())
     return EXIT_OK
 
 
 def _cmd_recognize(args) -> int:
-    from .learning import Learner, LearningError
+    from .learning import Learner
 
     grid = _load(args.pattern, Grid.from_text)
     learner = Learner(_load(args.graph, ConceptGraph.import_text))
-    try:
-        matches = learner.recognize(grid)
-    except LearningError as exc:
-        raise _CliInputError(exc) from None
+    matches = learner.recognize(grid)
     for m in matches:
         print(f"MATCH {m.concept} {m.score} {m.anchor[0]},{m.anchor[1]}")
     if not matches:
@@ -97,25 +89,22 @@ def _fmt_ids(ids) -> str:
 
 def _cmd_explain(args) -> int:
     from .interpretation import explain
-    from .learning import Learner, LearningError
+    from .learning import Learner
 
     grid = _load(args.pattern, Grid.from_text)
     learner = Learner(_load(args.graph, ConceptGraph.import_text))
-    try:
-        explanations = explain(learner, grid)
-    except LearningError as exc:
-        raise _CliInputError(exc) from None
-    regular = [e for e in explanations if not e.novel]
-    for e in regular:
-        print(
-            f"EXPLANATION chosen={_fmt_ids(e.chosen)}"
-            f" covered={_fmt_ids(e.covered)}"
-            f" suppressed={_fmt_ids(e.suppressed)}"
-        )
+    explanations = explain(learner, grid)
+    # the one novel explanation, if any, comes last and chooses nothing
     for e in explanations:
         if e.novel:
             print(f"NOVEL {_fmt_ids(e.residue)}")
-    if not grid.is_empty() and not any(e.chosen for e in regular):
+        else:
+            print(
+                f"EXPLANATION chosen={_fmt_ids(e.chosen)}"
+                f" covered={_fmt_ids(e.covered)}"
+                f" suppressed={_fmt_ids(e.suppressed)}"
+            )
+    if not grid.is_empty() and not any(e.chosen for e in explanations):
         return EXIT_NO_RESULT
     return EXIT_OK
 
@@ -130,7 +119,7 @@ def _parse_cell(text: str) -> tuple[int, int]:
 
 def _cmd_solve(args) -> int:
     from .inhibition import SessionStack
-    from .solver import Environment, InvalidEnvError, NoSolution, StateSpace
+    from .solver import Environment, NoSolution, StateSpace
     from .solver import enumerate_solutions, solve, solve_with_constraints
 
     if args.enumerate is not None:
@@ -138,18 +127,15 @@ def _cmd_solve(args) -> int:
             raise _CliInputError(f"--enumerate needs N >= 0, got {args.enumerate}")
         if args.forbid:
             raise _CliInputError("--forbid cannot be combined with --enumerate")
-    space = StateSpace(_load(args.env, Environment.from_text, InvalidEnvError))
+    space = StateSpace(_load(args.env, Environment.from_text))
     sessions = SessionStack(space.graph)
     forbidden = {_parse_cell(c) for c in args.forbid or ()}
-    try:
-        if args.enumerate is not None:
-            results = enumerate_solutions(space, args.enumerate or None, sessions)
-        elif forbidden:
-            results = [solve_with_constraints(space, forbidden)]
-        else:
-            results = [solve(space, sessions)]
-    except InvalidEnvError as exc:
-        raise _CliInputError(exc) from None
+    if args.enumerate is not None:
+        results = enumerate_solutions(space, args.enumerate or None, sessions)
+    elif forbidden:
+        results = [solve_with_constraints(space, forbidden)]
+    else:
+        results = [solve(space, sessions)]
     routes = [None if isinstance(r, NoSolution) else r.moves for r in results]
     if args.trace is not None:
         # written before any output, so a trace that cannot be written

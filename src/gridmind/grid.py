@@ -12,7 +12,8 @@ EMPTY_CHARS = {".", " "}
 
 
 class GridError(ValueError):
-    pass
+    """An input the engine refuses. `learning.LearningError` and
+    `solver.InvalidEnvError` derive from it."""
 
 
 class Grid:

@@ -31,7 +31,7 @@ TRANSFORM_PREFIX = "tf:"
 _GRID_KINDS = (NodeKind.PRIMITIVE, NodeKind.COMPOSITE)
 
 
-class LearningError(Exception):
+class LearningError(GridError):
     pass
 
 

@@ -52,7 +52,7 @@ from itertools import islice
 from typing import NamedTuple, Optional
 
 from .graph import ConceptGraph, NodeKind
-from .grid import MAX_DIM
+from .grid import MAX_DIM, GridError
 from .inhibition import SessionStack, StateGraphView
 
 DIRECTIONS = (("N", (0, -1)), ("E", (1, 0)), ("S", (0, 1)), ("W", (-1, 0)))
@@ -74,7 +74,7 @@ MAX_STATES = MAX_DIM * MAX_DIM
 MAX_SPUR_STATES = 16 * MAX_STATES
 
 
-class InvalidEnvError(Exception):
+class InvalidEnvError(GridError):
     pass
 
 

@@ -15,6 +15,9 @@ from hypothesis import strategies as st
 
 from gridmind import ConceptGraph, Environment, Grid, Learner, StateSpace, solve
 from gridmind.cli import main
+from gridmind.grid import GridError
+from gridmind.learning import BoundsError, EmptyInputError, LearningError
+from gridmind.solver import InvalidEnvError
 
 RING = "xxx\nx.x\nxxx\n"
 
@@ -169,17 +172,24 @@ def test_explain_of_features_that_have_no_node_prints_only_novel(capsys, tmp_pat
     assert run(capsys, "explain", str(probe), "--graph", graph) == (1, "NOVEL -\n", "")
 
 
-def test_explain_over_decision_budget_is_input_error(capsys, tmp_path):
-    # every two-symbol pattern over 14 symbols: a row of the 14 symbols has
-    # 13!! = 135,135 explanations, and the search stops at its budget
-    symbols = "abcdefghijklmn"
+def all_pairs_graph(symbols: str) -> ConceptGraph:
+    """The graph that learning every two-symbol pattern over `symbols` builds."""
     learner = Learner()
     for i, a in enumerate(symbols):
         for b in symbols[i + 1:]:
             learner.observe(Grid.from_text(a + b + "\n"))
+    return learner.graph
+
+
+# a row of these 14 symbols, explained against `all_pairs_graph`, has
+# 13!! = 135,135 explanations, past the search's decision budget
+PAIRS_SYMBOLS = "abcdefghijklmn"
+
+
+def test_explain_over_decision_budget_is_input_error(capsys, tmp_path):
     graph, row = tmp_path / "pairs.cg", tmp_path / "row.txt"
-    learner.graph.export_file(graph)
-    row.write_text(".".join(symbols) + "\n")
+    all_pairs_graph(PAIRS_SYMBOLS).export_file(graph)
+    row.write_text(".".join(PAIRS_SYMBOLS) + "\n")
     code, out, err = run(capsys, "explain", str(row), "--graph", str(graph))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "MAX_EXPLAIN_DECISIONS (65536)" in err
@@ -340,20 +350,54 @@ def test_solve_over_state_budget_is_input_error(capsys, tmp_path, monkeypatch):
         assert "Traceback" not in err
 
 
-@pytest.mark.parametrize(
-    "target, command",
-    [("gridmind.learning.Learner.observe", "learn"), ("gridmind.solver.solve", "solve")],
-)
-def test_an_unexpected_exception_is_not_an_input_error(tmp_path, monkeypatch, target, command):
-    # each command catches only the input errors of the modules it runs
-    def fault(*args, **kwargs):
-        raise RuntimeError("fault")
+# each engine call a subcommand makes, with an argument vector that reaches it
+ENGINE_CALLS = [
+    ("gridmind.learning.Learner.observe", ["learn", "ring.txt"]),
+    ("gridmind.solver.solve", ["solve", "maze.env"]),
+    ("gridmind.learning.Learner.reconstruct", ["show", "0", "--graph", "kb.cg"]),
+    ("gridmind.learning.Learner.recognize", ["recognize", "ring.txt", "--graph", "kb.cg"]),
+    ("gridmind.interpretation.explain", ["explain", "ring.txt", "--graph", "kb.cg"]),
+    ("gridmind.solver.solve_with_constraints", ["solve", "maze.env", "--forbid", "1,0"]),
+    ("gridmind.solver.enumerate_solutions", ["solve", "maze.env", "--enumerate"]),
+    ("gridmind.graph.ConceptGraph.import_text", ["graph", "import", "kb.cg"]),
+]
+REFUSALS = [LearningError, BoundsError, EmptyInputError, InvalidEnvError, GridError]
 
+
+@pytest.mark.parametrize(
+    "target, argv, error",
+    [
+        pytest.param(
+            target, argv, error,
+            id="-".join([target, argv[0]] + [error.__name__] * (error is not RuntimeError)),
+        )
+        for target, argv in ENGINE_CALLS
+        for error in [RuntimeError, *REFUSALS]
+    ],
+)
+def test_an_unexpected_exception_is_not_an_input_error(
+    capsys, tmp_path, monkeypatch, target, argv, error
+):
+    # `main` maps an engine's input errors to exit 2 and lets any other
+    # exception through
+    (tmp_path / "ring.txt").write_text(RING)
+    (tmp_path / "maze.env").write_text("S.G\n")
+    learner = Learner()
+    learner.observe(Grid.from_text(RING))
+    learner.graph.export_file(tmp_path / "kb.cg")
+
+    def fault(*args, **kwargs):
+        raise error("x")
+
+    monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(target, fault)
-    path = tmp_path / "input.txt"
-    path.write_text("S.G\n" if command == "solve" else RING)
-    with pytest.raises(RuntimeError, match="fault"):
-        main([command, str(path)])
+    if error is RuntimeError:
+        with pytest.raises(RuntimeError, match="x"):
+            main(argv)
+    else:
+        # a parse error names the file it parsed
+        where = "kb.cg: " if argv[0] == "graph" else ""
+        assert run(capsys, *argv) == (2, "", f"error: {where}x\n")
 
 
 def test_solve_bad_forbid_is_input_error(capsys, tmp_path):
@@ -593,7 +637,7 @@ ARGV_TOKENS = SUBCOMMANDS + [
     "import", "export", "--graph", "--enumerate", "--forbid", "--trace", "-h", "--bogus",
     "0", "1", "3", "-1", "99999999999999999999", "1,1", "0,2", "x,y", "1,", "",
     "text", "a b", "-", "ring.txt", "maze.env", "kb.cg", "state.cg", "bad.cg",
-    "binary", "absent.cg", "sub", "out.cg",
+    "binary", "absent.cg", "sub", "out.cg", "far.cg", "a.b",
 ]
 RUN_FILES = {
     "ring.txt": RING.encode(),
@@ -601,6 +645,14 @@ RUN_FILES = {
     "state.cg": b"CGRAPH 1\nN 0 State 1 s\n",
     "bad.cg": b"CGRAPH 1\nN 0 Composite 1 a\nC 0 0 0 0\n",
     "binary": b"\xff\xfe\x00abc",
+    # a composite whose two parts lie 300,000 cells apart: `recognize` is
+    # refused past its canvas budget, and `show 2` because it does not fit
+    "far.cg": b'CGRAPH 1\nN 0 Primitive 1 cell:a\nN 1 Primitive 1 cell:b\n'
+              b'N 2 Composite 2 ""\nC 2 0 0 0\nC 2 1 300000 0\n',
+    "a.b": b"a.b\n",
+    # past the explanation search's decision budget; used by an example only
+    "pairs.cg": all_pairs_graph(PAIRS_SYMBOLS).export_text().encode(),
+    "row.txt": (".".join(PAIRS_SYMBOLS) + "\n").encode(),
 }
 ARGVS = st.one_of(
     st.lists(st.sampled_from(ARGV_TOKENS), max_size=6),
@@ -611,6 +663,7 @@ ARGVS = st.one_of(
 
 @given(argv=ARGVS)
 @example(argv=["solve", "maze.env", "--enumerate", "99999999999999999999"])
+@example(argv=["explain", "row.txt", "--graph", "pairs.cg"])
 @settings(max_examples=150, deadline=None)
 def test_exit_code_contract_on_arbitrary_argv(argv):
     """Whatever the arguments, `main` exits 0, 1 or 2 (argparse's own exits
